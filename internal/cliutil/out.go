@@ -67,6 +67,15 @@ func (o *Output) Close() error {
 	return nil
 }
 
+// CheckFormat validates a -format flag value: text, json, or csv.
+func CheckFormat(format string) error {
+	switch format {
+	case "text", "json", "csv":
+		return nil
+	}
+	return fmt.Errorf("unknown format %q (want text, json, or csv)", format)
+}
+
 // WriteFile creates path, streams write into it, and closes it,
 // reporting creation, write, and close errors alike — the one-shot
 // variant of Output for export files written mid-command.

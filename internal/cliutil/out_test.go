@@ -111,3 +111,21 @@ func TestWriteFile(t *testing.T) {
 		t.Fatalf("writer error not surfaced: %v", err)
 	}
 }
+
+func TestCheckFormat(t *testing.T) {
+	for _, f := range []string{"text", "json", "csv"} {
+		if err := CheckFormat(f); err != nil {
+			t.Errorf("CheckFormat(%q) = %v", f, err)
+		}
+	}
+	for _, f := range []string{"", "xml", "JSON"} {
+		err := CheckFormat(f)
+		if err == nil {
+			t.Errorf("CheckFormat(%q) accepted", f)
+			continue
+		}
+		if want := fmt.Sprintf("unknown format %q (want text, json, or csv)", f); err.Error() != want {
+			t.Errorf("CheckFormat(%q) = %q, want %q", f, err, want)
+		}
+	}
+}

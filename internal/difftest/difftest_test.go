@@ -69,34 +69,32 @@ func fifoGolden(t *testing.T) []byte {
 }
 
 // TestDifferentialMatrix replays every pinned fixture through the
-// registry-dispatched policies at shard counts 1 and 4 and demands the
-// RunRecord bytes match the pre-refactor goldens exactly. This is the
-// headline proof that extracting the policy seams changed nothing: same
-// schedule, same counters, same digest, byte for byte.
+// registry-dispatched policies and demands the RunRecord bytes match the
+// pre-refactor goldens exactly. This is the headline proof that
+// extracting the policy seams changed nothing: same schedule, same
+// counters, same digest, byte for byte.
 func TestDifferentialMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential matrix is long under -short")
 	}
 	for _, fx := range MetricsFixtures() {
+		fx := fx
 		want := metricsGolden(t, fx.Slug)
-		for _, shards := range []int{1, 4} {
-			fx, shards := fx, shards
-			t.Run(fx.Slug+"/shards="+string(rune('0'+shards)), func(t *testing.T) {
-				t.Parallel()
-				cfg, wl, err := fx.Build()
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := RecordBytes(cfg, wl, sim.Options{Policy: fx.Policy, Seed: Seed, Shards: shards})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(got, want) {
-					t.Errorf("registry-dispatched %s (shards=%d) is not byte-identical to the pinned golden;\n"+
-						"the policy pipeline no longer reproduces pre-refactor behavior.\ngot:\n%s", fx.Slug, shards, got)
-				}
-			})
-		}
+		t.Run(fx.Slug, func(t *testing.T) {
+			t.Parallel()
+			cfg, wl, err := fx.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := RecordBytes(cfg, wl, sim.Options{Policy: fx.Policy, Seed: Seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("registry-dispatched %s is not byte-identical to the pinned golden;\n"+
+					"the policy pipeline no longer reproduces pre-refactor behavior.\ngot:\n%s", fx.Slug, got)
+			}
+		})
 	}
 }
 
@@ -182,10 +180,10 @@ func TestSnapshotForkDifferential(t *testing.T) {
 	}
 }
 
-// TestFIFOPolicyDiffers pins the out-of-tree policy's own golden (at
-// shards 1 and 4) and proves it is a genuinely different manager: its
-// record must differ from Mosaic's on the identical workload, and its
-// digest identity must be distinct.
+// TestFIFOPolicyDiffers pins the out-of-tree policy's own golden and
+// proves it is a genuinely different manager: its record must differ
+// from Mosaic's on the identical workload, and its digest identity must
+// be distinct.
 func TestFIFOPolicyDiffers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential matrix is long under -short")
@@ -196,14 +194,12 @@ func TestFIFOPolicyDiffers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range []int{1, 4} {
-		got, err := RecordBytes(cfg, wl, sim.Options{Policy: fx.Policy, Seed: Seed, Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("FIFO-MMU record (shards=%d) deviates from its golden:\n%s", shards, got)
-		}
+	got, err := RecordBytes(cfg, wl, sim.Options{Policy: fx.Policy, Seed: Seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("FIFO-MMU record deviates from its golden:\n%s", got)
 	}
 	if mosaicGolden := metricsGolden(t, "oversub-2x-mosaic"); bytes.Equal(want, mosaicGolden) {
 		t.Error("FIFO-MMU record is identical to Mosaic's: the residency seam is not being dispatched")

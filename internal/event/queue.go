@@ -100,12 +100,6 @@ func (q *Queue) Schedule(cycle uint64, fn Func) {
 // Len returns the number of pending events.
 func (q *Queue) Len() int { return len(q.h) + len(q.due) - q.dueHead }
 
-// Seq returns the last assigned sequence number — the count of events
-// ever scheduled on this queue (including those already run).
-// Determinism gates compare it across engine variants: two runs that
-// scheduled the same events in the same order finish with equal Seq.
-func (q *Queue) Seq() uint64 { return q.seq }
-
 // CloneEmpty returns a fresh queue with no pending events that continues
 // the receiver's sequence numbering. Forked simulators use it so that the
 // relative (cycle, seq) order of events scheduled after the fork matches

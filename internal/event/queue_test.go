@@ -257,28 +257,28 @@ func join(ss []string) string {
 	return out
 }
 
-// TestSeqCountsEverySchedule pins Seq as a determinism probe: it counts
-// every Schedule call (heap and same-cycle FIFO paths alike), survives
-// RunDue, and CloneEmpty continues it — so two engine variants that
-// scheduled the same event stream always finish with equal Seq.
+// TestSeqCountsEverySchedule pins the sequence counter: it counts every
+// Schedule call (heap and same-cycle FIFO paths alike), survives RunDue,
+// and CloneEmpty continues it — so a forked simulator's post-fork events
+// keep the (cycle, seq) order the parent would have given them.
 func TestSeqCountsEverySchedule(t *testing.T) {
 	q := &Queue{}
-	if q.Seq() != 0 {
-		t.Fatalf("fresh queue Seq = %d, want 0", q.Seq())
+	if q.seq != 0 {
+		t.Fatalf("fresh queue seq = %d, want 0", q.seq)
 	}
 	q.Schedule(5, func(uint64) {})
 	q.Schedule(3, func(uint64) {})
-	if q.Seq() != 2 {
-		t.Fatalf("Seq = %d after 2 schedules, want 2", q.Seq())
+	if q.seq != 2 {
+		t.Fatalf("seq = %d after 2 schedules, want 2", q.seq)
 	}
 	// A callback scheduling same-cycle work uses the FIFO fast path —
 	// it must count too.
 	q.Schedule(7, func(c uint64) { q.Schedule(c, func(uint64) {}) })
 	q.RunDue(7)
-	if q.Seq() != 4 {
-		t.Fatalf("Seq = %d after drain with one same-cycle schedule, want 4", q.Seq())
+	if q.seq != 4 {
+		t.Fatalf("seq = %d after drain with one same-cycle schedule, want 4", q.seq)
 	}
-	if c := q.CloneEmpty(); c.Seq() != q.Seq() {
-		t.Fatalf("CloneEmpty Seq = %d, want %d", c.Seq(), q.Seq())
+	if c := q.CloneEmpty(); c.seq != q.seq {
+		t.Fatalf("CloneEmpty seq = %d, want %d", c.seq, q.seq)
 	}
 }

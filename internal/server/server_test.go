@@ -366,6 +366,43 @@ func TestRequestValidation(t *testing.T) {
 	}
 }
 
+// TestRemovedShardsFieldRejected: the Shards wire field is gone, so a
+// run or campaign that still carries it is an unknown-field 400 that
+// creates no job, no campaign, and runs nothing.
+func TestRemovedShardsFieldRejected(t *testing.T) {
+	s, ts, release, execs := newStubServer(t, Options{Workers: 1, QueueSize: 1})
+	defer close(release)
+
+	cases := []struct {
+		name, path, body string
+	}{
+		{"run", "/v1/runs", `{"Apps":["HS"],"Policy":"mosaic","Shards":4}`},
+		{"campaign base", "/v1/campaigns", `{"Base":{"Apps":["HS"],"Shards":4},"Policies":["mosaic"]}`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("HTTP %d (%s), want 400", resp.StatusCode, raw)
+			}
+			if !strings.Contains(string(raw), `unknown field \"Shards\"`) {
+				t.Errorf("body %s does not name the unknown Shards field", raw)
+			}
+		})
+	}
+	s.mu.Lock()
+	jobs, campaigns := len(s.jobs), len(s.campaigns)
+	s.mu.Unlock()
+	if jobs != 0 || campaigns != 0 || execs.Load() != 0 {
+		t.Errorf("rejected requests left %d jobs, %d campaigns, %d executions", jobs, campaigns, execs.Load())
+	}
+}
+
 // TestFailedRun surfaces simulation errors as failed jobs with a 500
 // result and the message preserved.
 func TestFailedRun(t *testing.T) {

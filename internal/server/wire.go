@@ -42,14 +42,6 @@ type RunRequest struct {
 	// 0 (the default) runs single-phase, exactly as before the field
 	// existed.
 	SnapshotWarmupCycles uint64 `json:",omitempty"`
-	// Shards, when above 1, runs the simulation's cycle loop sharded
-	// across that many concurrent per-SM shards (sim.Options.Shards).
-	// Sharding changes wall-clock time only — the output is
-	// byte-identical at every value — so Shards, like TimeoutMS, is not
-	// part of the job's cache identity: two requests differing only in
-	// Shards deduplicate onto one job and one stored result. Clamped to
-	// the machine's SM count; 0 (the default) runs sequentially.
-	Shards int `json:",omitempty"`
 	// TimeoutMS bounds the job's whole life — queue wait plus run — in
 	// milliseconds; on expiry the job fails with "job deadline
 	// exceeded" and releases its worker. 0 defers to the server's
