@@ -248,8 +248,9 @@ func (co *Coordinator) handleCampaignSubmit(w http.ResponseWriter, r *http.Reque
 	co.campaignsTotal.Add(1)
 	co.campaignsActive.Add(1)
 	co.cellsTotal.Add(uint64(len(cells)))
+	accepted := log.Status() // before the runner can finish the campaign
 	go co.runCampaign(log, cells)
-	writeJSON(w, http.StatusAccepted, log.Status())
+	writeJSON(w, http.StatusAccepted, accepted)
 }
 
 // runCampaign dispatches every cell to the fleet, one goroutine per

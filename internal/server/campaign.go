@@ -298,8 +298,12 @@ func (s *Server) handleCampaignSubmit(w http.ResponseWriter, r *http.Request) {
 	s.campaignsTotal.Add(1)
 	s.campaignsActive.Add(1)
 	s.campaignCells.Add(uint64(len(cells)))
+	// Snapshot before the runner starts: cells answered from the cache
+	// can finish the campaign before the response is written, and the
+	// 202 reports the campaign as accepted, not as it is by then.
+	accepted := c.Status()
 	go s.runCampaign(c)
-	writeJSON(w, http.StatusAccepted, c.Status())
+	writeJSON(w, http.StatusAccepted, accepted)
 }
 
 // runCampaign is the campaign's feeder: it submits cells in grid order
