@@ -356,3 +356,24 @@ func BenchmarkSimCorePaging(b *testing.B) {
 	}
 	b.ReportMetric(float64(transfers)/float64(b.N), "transfers/run")
 }
+
+// BenchmarkSimCoreOversub stresses the bounded-residency path with the
+// Mosaic cell of the CI oversub-smoke run (SWP-S,SWP-D at working-set
+// scale 24, page pool half the footprint): faults evict whole coalesced
+// frames, refault page by page, and write dirty pages back across the
+// I/O bus.
+func BenchmarkSimCoreOversub(b *testing.B) {
+	cfg := mosaic.EvalConfig()
+	cfg.WorkloadScale = 24
+	wl := benchWorkload(b, "SWP-S", "SWP-D")
+	cfg.MaxResidentPages = mosaic.ResidentBudget(cfg, wl, 2)
+	b.ResetTimer()
+	var evictions, transfers uint64
+	for i := 0; i < b.N; i++ {
+		r := runOnce(b, cfg, wl, mosaic.Mosaic, nil)
+		evictions += r.Manager.Evictions
+		transfers += r.Bus.TotalTransfers()
+	}
+	b.ReportMetric(float64(evictions)/float64(b.N), "evictions/run")
+	b.ReportMetric(float64(transfers)/float64(b.N), "transfers/run")
+}

@@ -18,7 +18,8 @@ import (
 // write back over the bus before their frame can be reused; the bus is
 // FIFO, so a page-in issued after a write-back queues behind it and the
 // outbound data is on the host before the inbound data lands. Evicted
-// pages re-fault at bus latency.
+// pages re-fault at bus latency. Under a bound, the pager's region-indexed
+// table is the only record of residency.
 //
 // Residency is admission-controlled: a fault that cannot fit — even after
 // evicting every resident victim — joins a FIFO fault queue and is
@@ -86,10 +87,17 @@ func (e *PageEntry) Pages() uint64 { return e.pages }
 // resident (and so owes a write-back on eviction).
 func (e *PageEntry) Dirty() bool { return e.dirty }
 
-type pagerKey struct {
-	asid vmem.ASID
-	key  uint64
+// pageRegion is one application's 2MB region in the pager's table: a slot
+// per base page (number mod 512), or one entry in slot 0 under large-page
+// fill, and the occupied count. A coalesced victim's siblings are the
+// occupied slots of its own region.
+type pageRegion struct {
+	slots [vmem.BasePagesPerLarge]*PageEntry
+	live  int
 }
+
+// regionKey packs an application's 2MB region into one map key.
+func regionKey(asid vmem.ASID, largePN uint64) uint64 { return uint64(asid)<<48 | largePN }
 
 // pager tracks residency against the budget. It is created only when the
 // configuration bounds residency; a nil pager leaves the pre-existing
@@ -98,7 +106,7 @@ type pager struct {
 	s       *System
 	budget  uint64 // MaxResidentPages, in base pages
 	used    uint64 // base pages resident or committed to pending faults
-	entries map[pagerKey]*PageEntry
+	regions map[uint64]*pageRegion
 	// queued is the FIFO admission queue of faults waiting for capacity.
 	queued []*PageEntry
 	// res orders resident entries for victim selection (the policy's
@@ -110,18 +118,46 @@ func newPager(s *System) *pager {
 	return &pager{
 		s:       s,
 		budget:  s.cfg.MaxResidentPages,
-		entries: make(map[pagerKey]*PageEntry),
+		regions: make(map[uint64]*pageRegion),
 		res:     s.newRes(),
 	}
+}
+
+// locate returns the table key, region (nil if absent) and slot of a unit.
+func (p *pager) locate(asid vmem.ASID, key uint64) (uint64, *pageRegion, int) {
+	rk, i := regionKey(asid, key/vmem.BasePagesPerLarge), int(key%vmem.BasePagesPerLarge)
+	if p.s.fill.LargeFill() {
+		rk, i = regionKey(asid, key), 0
+	}
+	return rk, p.regions[rk], i
+}
+
+// entry returns a unit's entry, or nil when the pager has none.
+func (p *pager) entry(asid vmem.ASID, key uint64) *PageEntry {
+	if _, r, i := p.locate(asid, key); r != nil {
+		return r.slots[i]
+	}
+	return nil
+}
+
+// insert files a new entry; an emptied region is dropped by release.
+func (p *pager) insert(e *PageEntry) {
+	rk, r, i := p.locate(e.asid, e.key)
+	if r == nil {
+		r = &pageRegion{}
+		p.regions[rk] = r
+	}
+	r.slots[i] = e
+	r.live++
 }
 
 // clone deep-copies the pager for a forked manager ns. It requires the
 // pager to be quiescent — an empty admission queue and no entries in the
 // queued/pending-in/pending-out states, since transfers in flight hold
 // waiter closures bound to the source simulator — and panics otherwise.
-// Entries are duplicated and the residency policy is cloned over the
-// copies in the exact victim order of the source, so the fork's next
-// eviction picks the same victim the source would have.
+// Entries are duplicated into a rebuilt table and the residency policy
+// is cloned over the copies in the exact victim order of the source, so
+// the fork's next eviction picks the same victim the source would have.
 func (p *pager) clone(ns *System) *pager {
 	if len(p.queued) != 0 {
 		panic(fmt.Sprintf("core: pager clone with %d queued faults", len(p.queued)))
@@ -130,24 +166,23 @@ func (p *pager) clone(ns *System) *pager {
 		s:       ns,
 		budget:  p.budget,
 		used:    p.used,
-		entries: make(map[pagerKey]*PageEntry, len(p.entries)),
+		regions: make(map[uint64]*pageRegion, len(p.regions)),
 	}
-	for k, e := range p.entries {
-		switch e.state {
-		case pageQueued, pagePendingIn, pagePendingOut:
-			panic(fmt.Sprintf("core: pager clone with entry in transient state %d", e.state))
-		}
-		if len(e.waiters) != 0 {
-			panic("core: pager clone with waiters outstanding")
-		}
-		np.entries[k] = &PageEntry{
-			asid: e.asid, key: e.key, va: e.va, state: e.state,
-			dirty: e.dirty, pages: e.pages, evicted: e.evicted, freed: e.freed,
+	for _, r := range p.regions {
+		for _, e := range r.slots {
+			if e == nil {
+				continue
+			}
+			if e.state != pageResident && e.state != pageRemote || len(e.waiters) != 0 {
+				panic(fmt.Sprintf("core: pager clone with entry in transient state %d (%d waiters)", e.state, len(e.waiters)))
+			}
+			np.insert(&PageEntry{
+				asid: e.asid, key: e.key, va: e.va, state: e.state,
+				dirty: e.dirty, pages: e.pages, evicted: e.evicted, freed: e.freed,
+			})
 		}
 	}
-	np.res = p.res.Clone(func(e *PageEntry) *PageEntry {
-		return np.entries[pagerKey{e.asid, e.key}]
-	})
+	np.res = p.res.Clone(func(e *PageEntry) *PageEntry { return np.entry(e.asid, e.key) })
 	return np
 }
 
@@ -163,10 +198,10 @@ func pageDirty(asid vmem.ASID, key uint64) bool {
 // ensureResident is the bounded-residency fault path, mirroring
 // System.EnsureResident's contract: true means already resident (done is
 // not called), false means done fires when the page lands.
-func (p *pager) ensureResident(now uint64, a *appState, asid vmem.ASID, va vmem.VirtAddr, done func(cycle uint64)) bool {
+func (p *pager) ensureResident(now uint64, asid vmem.ASID, va vmem.VirtAddr, done func(cycle uint64)) bool {
 	s := p.s
 	key := s.faultKey(va)
-	e := p.entries[pagerKey{asid, key}]
+	e := p.entry(asid, key)
 	if e != nil {
 		switch e.state {
 		case pageResident:
@@ -185,7 +220,7 @@ func (p *pager) ensureResident(now uint64, a *appState, asid vmem.ASID, va vmem.
 		if s.fill.LargeFill() {
 			e.pages = vmem.BasePagesPerLarge
 		}
-		p.entries[pagerKey{asid, key}] = e
+		p.insert(e)
 	}
 	e.va = va.BasePageBase()
 	if e.evicted {
@@ -231,9 +266,6 @@ func (p *pager) issue(now uint64, e *PageEntry) {
 		if !e.freed {
 			e.state = pageResident
 			e.dirty = pageDirty(e.asid, e.key)
-			if a, err := s.app(e.asid); err == nil {
-				a.resident[e.key] = true
-			}
 			p.res.Insert(e)
 		}
 		// The landed page is evictable, so capacity may now exist for
@@ -306,13 +338,9 @@ func (p *pager) evict(now uint64, victim *PageEntry) {
 		size = vmem.Large
 	} else if a, err := s.app(victim.asid); err == nil && a.table.IsCoalesced(victim.va) {
 		// Gather every resident sibling of the victim's 2MB region.
-		basePN := victim.va.LargePageBase().BasePageNumber()
-		for i := uint64(0); i < vmem.BasePagesPerLarge; i++ {
-			k := basePN + i
-			if k == victim.key {
-				continue
-			}
-			if sib := p.entries[pagerKey{victim.asid, k}]; sib != nil && sib.state == pageResident {
+		_, r, _ := p.locate(victim.asid, victim.key)
+		for _, sib := range r.slots {
+			if sib != nil && sib != victim && sib.state == pageResident {
 				group = append(group, sib)
 			}
 		}
@@ -324,10 +352,6 @@ func (p *pager) evict(now uint64, victim *PageEntry) {
 	}
 
 	dirty := false
-	var a *appState
-	if app, err := s.app(victim.asid); err == nil {
-		a = app
-	}
 	for _, e := range group {
 		if e.dirty {
 			dirty = true
@@ -337,9 +361,6 @@ func (p *pager) evict(now uint64, victim *PageEntry) {
 		s.stats.EvictedPages += e.pages
 		e.evicted = true
 		e.dirty = false
-		if a != nil {
-			delete(a.resident, e.key)
-		}
 	}
 	s.stats.Evictions++
 	if dirty {
@@ -370,16 +391,20 @@ func (p *pager) evict(now uint64, victim *PageEntry) {
 // application discarded. A queued fault's entry stays freed-marked in the
 // admission queue and is discharged by admit without moving data.
 func (p *pager) release(asid vmem.ASID, key uint64) {
-	e := p.entries[pagerKey{asid, key}]
-	if e == nil {
+	rk, r, slot := p.locate(asid, key)
+	if r == nil || r.slots[slot] == nil {
 		return
 	}
+	e := r.slots[slot]
 	if e.state == pageResident || e.state == pagePendingIn {
 		p.used -= e.pages
 	}
 	e.freed = true
 	p.res.Remove(e)
-	delete(p.entries, pagerKey{asid, key})
+	r.slots[slot] = nil
+	if r.live--; r.live == 0 {
+		delete(p.regions, rk)
+	}
 }
 
 // ResidentPages reports the base pages currently counted against the

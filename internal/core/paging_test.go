@@ -1,9 +1,11 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/event"
 	"repro/internal/vmem"
 )
 
@@ -369,5 +371,181 @@ func TestPagerUnboundedConfigIsInert(t *testing.T) {
 	})
 	if r2.sys.pager != nil {
 		t.Fatal("ideal TLB should be exempt from the residency bound")
+	}
+}
+
+// regionState lists, in key order, the resident units of asid's 2MB
+// region at va and checks the table's bookkeeping for that region: every
+// occupied slot sits at its key's index, and live counts the slots.
+func regionState(t *testing.T, p *pager, asid vmem.ASID, va vmem.VirtAddr) (resident []uint64) {
+	t.Helper()
+	r := p.regions[regionKey(asid, va.LargePageNumber())]
+	if r == nil {
+		return nil
+	}
+	live := 0
+	for i, e := range r.slots {
+		if e == nil {
+			continue
+		}
+		live++
+		if e.key%vmem.BasePagesPerLarge != uint64(i) || e.freed {
+			t.Fatalf("slot %d holds key %d (freed %v)", i, e.key, e.freed)
+		}
+		if e.state == pageResident {
+			resident = append(resident, e.key)
+		}
+	}
+	if live != r.live {
+		t.Fatalf("region live = %d, occupied slots = %d", r.live, live)
+	}
+	return resident
+}
+
+// evictRegion evicts the pager's current victim, which must lie in the
+// region at va, and returns the keys that left residency.
+func evictRegion(t *testing.T, sys *System, va vmem.VirtAddr) []uint64 {
+	t.Helper()
+	p := sys.pager
+	before := regionState(t, p, 1, va)
+	used, st := p.used, sys.Stats()
+	victim := p.res.Victim()
+	if victim == nil || victim.va.LargePageBase() != va {
+		t.Fatalf("victim %+v not in region %#x", victim, va)
+	}
+	p.evict(0, victim)
+	if left := regionState(t, p, 1, va); len(left) != 0 {
+		t.Fatalf("siblings %v still resident after a coalesced-frame eviction", left)
+	}
+	after := sys.Stats()
+	if after.Evictions != st.Evictions+1 {
+		t.Fatalf("evictions %d -> %d, want one", st.Evictions, after.Evictions)
+	}
+	if got := after.EvictedPages - st.EvictedPages; got != uint64(len(before)) {
+		t.Fatalf("evicted %d pages, want the %d resident siblings", got, len(before))
+	}
+	if used < uint64(len(before)) || p.used != used-uint64(len(before)) {
+		t.Fatalf("used %d -> %d, want a drop of %d", used, p.used, len(before))
+	}
+	return before
+}
+
+func pageKeys(from, to uint64) []uint64 {
+	var ks []uint64
+	for k := from; k < to; k++ {
+		ks = append(ks, k)
+	}
+	return ks
+}
+
+// TestPagerRegionIndexTracksSiblings checks that a coalesced victim's
+// eviction gathers exactly its region's still-resident siblings through
+// frees, refaults and a fork: freed pages leave their slots (so they are
+// never gathered and the budget never underflows), and an emptied region
+// leaves the table.
+func TestPagerRegionIndexTracksSiblings(t *testing.T) {
+	r := newPagedRig(t, Mosaic, 2*vmem.BasePagesPerLarge)
+	sys := r.sys
+	sys.RegisterApp(1)
+	if err := sys.AllocVirtual(0, 1, 0, vmem.LargePageSize); err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < vmem.BasePagesPerLarge; i++ {
+		sys.EnsureResident(0, 1, vmem.VirtAddr(i*vmem.BasePageSize), nil)
+	}
+	r.drain()
+	// Free pages 10..19; the region stays coalesced (parked, not splintered).
+	if err := sys.FreeVirtual(1, 1, 10*vmem.BasePageSize, 10*vmem.BasePageSize); err != nil {
+		t.Fatal(err)
+	}
+	if !sys.apps[1].table.IsCoalesced(0) {
+		t.Fatal("region splintered; the test needs a coalesced victim")
+	}
+	for k := uint64(10); k < 20; k++ {
+		if sys.pager.entry(1, k) != nil {
+			t.Fatalf("freed page %d still in the table", k)
+		}
+	}
+	want := append(pageKeys(0, 10), pageKeys(20, vmem.BasePagesPerLarge)...)
+	if got := evictRegion(t, sys, 0); !slices.Equal(got, want) {
+		t.Fatalf("first eviction gathered %d keys, want %d (pages 10..19 were freed)", len(got), len(want))
+	}
+	r.drain()
+
+	// Refault pages 100..149, free 120..124 among them, then fork.
+	for k := uint64(100); k < 150; k++ {
+		sys.EnsureResident(2, 1, vmem.VirtAddr(k*vmem.BasePageSize), nil)
+	}
+	r.drain()
+	if got := sys.Stats().Refaults; got != 50 {
+		t.Fatalf("Refaults = %d, want 50", got)
+	}
+	if err := sys.FreeVirtual(3, 1, 120*vmem.BasePageSize, 5*vmem.BasePageSize); err != nil {
+		t.Fatal(err)
+	}
+	nq := &event.Queue{}
+	fork := sys.Clone(nq, sys.bus.Clone(nq), sys.mem.Clone(nq))
+	for k, reg := range sys.pager.regions {
+		freg := fork.pager.regions[k]
+		if freg == nil || freg.live != reg.live {
+			t.Fatalf("fork region %#x = %+v, want live %d", k, freg, reg.live)
+		}
+		for i, e := range reg.slots {
+			if (e == nil) != (freg.slots[i] == nil) || e != nil && e == freg.slots[i] {
+				t.Fatalf("fork slot %d not a copy of the source's", i)
+			}
+		}
+	}
+
+	want = append(pageKeys(100, 120), pageKeys(125, 150)...)
+	if got := evictRegion(t, sys, 0); !slices.Equal(got, want) {
+		t.Fatalf("second eviction gathered %v, want %v", got, want)
+	}
+	if got := evictRegion(t, fork, 0); !slices.Equal(got, want) {
+		t.Fatalf("fork eviction gathered %v, want %v", got, want)
+	}
+	r.drain()
+	for _, e := range sys.pager.regions[regionKey(1, 0)].slots {
+		if e != nil && e.state != pageRemote {
+			t.Fatalf("page %d in state %d after its frame drained out", e.key, e.state)
+		}
+	}
+	checkPagingInvariants(t, r)
+
+	// Freeing the rest of the region empties it: the table drops it.
+	if err := sys.FreeVirtual(4, 1, 0, vmem.LargePageSize); err != nil {
+		t.Fatal(err)
+	}
+	if len(sys.pager.regions) != 0 || sys.ResidentPages() != 0 {
+		t.Fatalf("emptied region kept: %d regions, %d pages used", len(sys.pager.regions), sys.ResidentPages())
+	}
+}
+
+// TestPagerRegionTableDropsEmptiedRegions covers both fill granularities:
+// faulting creates one region per 2MB range and freeing every unit in it
+// removes the region.
+func TestPagerRegionTableDropsEmptiedRegions(t *testing.T) {
+	for _, pol := range []Policy{GPUMMU4K, GPUMMU2M} {
+		r := newPagedRig(t, pol, 4*vmem.BasePagesPerLarge)
+		r.sys.RegisterApp(1)
+		if err := r.sys.AllocVirtual(0, 1, 0, 2*vmem.LargePageSize); err != nil {
+			t.Fatal(err)
+		}
+		for _, va := range []vmem.VirtAddr{0, 5 * vmem.BasePageSize, vmem.LargePageSize} {
+			r.sys.EnsureResident(0, 1, va, nil)
+		}
+		r.drain()
+		if n := len(r.sys.pager.regions); n != 2 {
+			t.Fatalf("%v: %d regions after faulting two 2MB ranges, want 2", pol, n)
+		}
+		if err := r.sys.FreeVirtual(1, 1, 0, vmem.LargePageSize); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := r.sys.pager.regions[regionKey(1, 0)]; ok || len(r.sys.pager.regions) != 1 {
+			t.Fatalf("%v: freed region still in the table (%d regions)", pol, len(r.sys.pager.regions))
+		}
+		if !r.sys.IsResident(1, vmem.LargePageSize) {
+			t.Fatalf("%v: the other region lost residency", pol)
+		}
 	}
 }

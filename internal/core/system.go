@@ -534,11 +534,12 @@ func (s *System) IsResident(asid vmem.ASID, va vmem.VirtAddr) bool {
 	if !s.cfg.IOBusEnabled {
 		return true
 	}
-	a, err := s.app(asid)
-	if err != nil {
-		return false
+	if s.pager != nil {
+		e := s.pager.entry(asid, s.faultKey(va))
+		return e != nil && e.state == pageResident
 	}
-	return a.resident[s.faultKey(va)]
+	a := s.apps[asid]
+	return a != nil && a.resident[s.faultKey(va)]
 }
 
 // EnsureResident triggers a far-fault for va's page if its data is not
@@ -554,7 +555,7 @@ func (s *System) EnsureResident(now uint64, asid vmem.ASID, va vmem.VirtAddr, do
 		return true
 	}
 	if s.pager != nil {
-		return s.pager.ensureResident(now, a, asid, va, done)
+		return s.pager.ensureResident(now, asid, va, done)
 	}
 	key := s.faultKey(va)
 	if a.resident[key] {
@@ -714,7 +715,7 @@ func (s *System) handleShrunkRegion(now uint64, a *appState, asid vmem.ASID, reg
 		return
 	}
 	// Occupancy still high: park on the emergency frame list.
-	key := uint64(asid)<<48 | regionVA.LargePageNumber()
+	key := regionKey(asid, regionVA.LargePageNumber())
 	if !s.onEmerg[key] {
 		s.onEmerg[key] = true
 		s.emergency = append(s.emergency, emergencyEntry{asid, regionVA})
@@ -754,7 +755,7 @@ func (s *System) recoverFrames(now uint64, asid vmem.ASID) {
 	for len(s.emergency) > 0 {
 		e := s.emergency[0]
 		s.emergency = s.emergency[1:]
-		delete(s.onEmerg, uint64(e.asid)<<48|e.va.LargePageNumber())
+		delete(s.onEmerg, regionKey(e.asid, e.va.LargePageNumber()))
 		a, err := s.app(e.asid)
 		if err != nil || !a.table.IsCoalesced(e.va) {
 			continue

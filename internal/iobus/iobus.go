@@ -50,14 +50,33 @@ type Bus struct {
 	largeOcc uint64
 
 	busyUntil uint64
-	// inflight holds the completion cycles of transfers that have been
-	// issued but not yet delivered. Queue depth is derived from it at
-	// issue time rather than from event-queue callbacks, so same-cycle
-	// ordering between completions and new arrivals is well defined: a
-	// transfer completing exactly at cycle c does not count toward the
-	// depth seen by a transfer arriving at c.
-	inflight []uint64
-	stats    Stats
+	// pageIn (by vmem.PageSize: a base page-in can land before an earlier
+	// large one) and writeBack queue the completion cycles of issued,
+	// undelivered transfers. Depth is derived from them at issue time, not
+	// from event-queue callbacks, so a transfer completing exactly at
+	// cycle c does not count toward the depth seen by an arrival at c.
+	pageIn    [2]fifo
+	writeBack fifo
+	stats     Stats
+}
+
+// fifo is a sorted queue of cycles, live in q[head:].
+type fifo struct {
+	q    []uint64
+	head int
+}
+
+// prune drops the entries completed by now and returns how many remain.
+// Once at least half the array is dead the live tail is copied down, so
+// a steady stream reuses one array.
+func (f *fifo) prune(now uint64) int {
+	for f.head < len(f.q) && f.q[f.head] <= now {
+		f.head++
+	}
+	if 2*f.head >= len(f.q) {
+		f.q, f.head = f.q[:copy(f.q, f.q[f.head:])], 0
+	}
+	return len(f.q) - f.head
 }
 
 // New builds a bus wired to the simulator's event queue using the
@@ -73,17 +92,17 @@ func New(cfg config.Config, q *event.Queue) *Bus {
 }
 
 // Clone returns a deep copy of the bus wired to q (a forked simulator's
-// event queue). All timing state — busyUntil, the in-flight completion
-// cycles used for queue-depth accounting, and stats — is duplicated, so a
-// fork sees the same future bus availability a cold run would. Completion
-// callbacks of transfers still in flight live on the source's event queue,
-// not in the Bus, so callers must quiesce (drain all transfers) before
-// snapshotting; the inflight cycle list itself is history-only and safe to
-// copy.
+// event queue): busyUntil, the completion FIFOs and stats, so a fork sees
+// the same future bus availability a cold run would. Completion callbacks
+// of transfers still in flight live on the source's event queue, not in
+// the Bus, so callers must quiesce (drain all transfers) before
+// snapshotting.
 func (b *Bus) Clone(q *event.Queue) *Bus {
 	nb := *b
 	nb.q = q
-	nb.inflight = append([]uint64(nil), b.inflight...)
+	for _, f := range []*fifo{&nb.pageIn[0], &nb.pageIn[1], &nb.writeBack} {
+		f.q, f.head = append([]uint64(nil), f.q[f.head:]...), 0
+	}
 	return &nb
 }
 
@@ -118,19 +137,14 @@ func (b *Bus) admit(now, occ uint64) uint64 {
 	return start
 }
 
-// track records an in-flight transfer completing at finish for a request
-// arriving at now and updates MaxQueueDepth. Completed entries are pruned
-// in place; a transfer whose completion cycle equals now has already
-// delivered by the time the new arrival is observed.
-func (b *Bus) track(now, finish uint64) {
-	live := b.inflight[:0]
-	for _, f := range b.inflight {
-		if f > now {
-			live = append(live, f)
-		}
-	}
-	b.inflight = append(live, finish)
-	if d := len(b.inflight); d > b.stats.MaxQueueDepth {
+// track queues a transfer completing at finish on FIFO f for a request
+// arriving at now and updates MaxQueueDepth. Each FIFO is sorted (starts
+// are monotone, a page-in lands a fixed delay after its start, and a
+// write-back ends before any later start), so pruning heads is exact.
+func (b *Bus) track(f *fifo, now, finish uint64) {
+	d := 1 + b.pageIn[0].prune(now) + b.pageIn[1].prune(now) + b.writeBack.prune(now)
+	f.q = append(f.q, finish)
+	if d > b.stats.MaxQueueDepth {
 		b.stats.MaxQueueDepth = d
 	}
 }
@@ -146,7 +160,7 @@ func (b *Bus) Transfer(now uint64, size vmem.PageSize, done func(cycle uint64)) 
 	} else {
 		b.stats.BaseTransfers++
 	}
-	b.track(now, finish)
+	b.track(&b.pageIn[size], now, finish)
 	if done != nil {
 		b.q.Schedule(finish, done)
 	}
@@ -168,7 +182,7 @@ func (b *Bus) WriteBack(now uint64, size vmem.PageSize, done func(cycle uint64))
 	} else {
 		b.stats.WriteBackBase++
 	}
-	b.track(now, finish)
+	b.track(&b.writeBack, now, finish)
 	if done != nil {
 		b.q.Schedule(finish, done)
 	}

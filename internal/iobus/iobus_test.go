@@ -1,6 +1,7 @@
 package iobus
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -332,5 +333,119 @@ func TestWriteBackSerializesBeforePageIn(t *testing.T) {
 	}
 	if b.Stats().TotalQueueDelay != occ {
 		t.Errorf("TotalQueueDelay = %d, want %d", b.Stats().TotalQueueDelay, occ)
+	}
+}
+
+// refDepth is the original linear-scan queue-depth model: one unsorted
+// list of completion cycles, every entry that has completed by the new
+// arrival pruned, then the new completion appended.
+type refDepth struct {
+	inflight []uint64
+	max      int
+}
+
+func (r *refDepth) track(now, finish uint64) {
+	live := r.inflight[:0]
+	for _, f := range r.inflight {
+		if f > now {
+			live = append(live, f)
+		}
+	}
+	r.inflight = append(live, finish)
+	if d := len(r.inflight); d > r.max {
+		r.max = d
+	}
+}
+
+// liveCycles lists the bus's tracked completion cycles, sorted.
+func liveCycles(b *Bus) []uint64 {
+	var out []uint64
+	for _, f := range []*fifo{&b.pageIn[0], &b.pageIn[1], &b.writeBack} {
+		out = append(out, f.q[f.head:]...)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// cycles returns the reference model's in-flight cycles, sorted.
+func (r *refDepth) cycles() []uint64 {
+	out := slices.Clone(r.inflight)
+	slices.Sort(out)
+	return out
+}
+
+// Property: over random interleavings of base and large page-ins and
+// write-backs, with arrival gaps from zero to past a large page-in's
+// latency, the per-kind completion FIFOs hold exactly the set the linear
+// scan kept, so depth and MaxQueueDepth match it after every call.
+func TestQueueDepthMatchesLinearScanProperty(t *testing.T) {
+	cfg := config.Default()
+	gaps := []uint64{0, 1, cfg.IOBaseOccupancyCycles, 3 * cfg.IOBaseOccupancyCycles,
+		cfg.IOBaseFaultCycles / 2, cfg.IOBaseFaultCycles, cfg.IOLargeOccupancyCycles,
+		cfg.IOLargeFaultCycles, 2 * cfg.IOLargeFaultCycles}
+	prop := func(ops []uint16) bool {
+		b, _ := newBus()
+		var ref refDepth
+		now := uint64(0)
+		for i, op := range ops {
+			now += gaps[int(op>>2)%len(gaps)]
+			size := vmem.PageSize(op & 1)
+			var fin uint64
+			if op&2 == 0 {
+				fin = b.Transfer(now, size, nil)
+			} else {
+				fin = b.WriteBack(now, size, nil)
+			}
+			ref.track(now, fin)
+			got, want := liveCycles(b), ref.cycles()
+			if !slices.Equal(got, want) || b.Stats().MaxQueueDepth != ref.max {
+				t.Logf("op %d (%#x) at %d: live %v, want %v; max %d, want %d",
+					i, op, now, got, want, b.Stats().MaxQueueDepth, ref.max)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+	// A cloned bus carries the same live set and keeps matching.
+	b, _ := newBus()
+	var ref refDepth
+	for i := uint64(0); i < 8; i++ {
+		ref.track(i, b.Transfer(i, vmem.PageSize(i&1), nil))
+	}
+	nb := b.Clone(&event.Queue{})
+	ref.track(9, nb.WriteBack(9, vmem.Base, nil))
+	if got := liveCycles(nb); !slices.Equal(got, ref.cycles()) || nb.Stats().MaxQueueDepth != ref.max {
+		t.Errorf("clone live %v (max %d), want %v (max %d)", got, nb.Stats().MaxQueueDepth, ref.cycles(), ref.max)
+	}
+	if len(liveCycles(b)) != 8 {
+		t.Error("tracking on the clone disturbed the source")
+	}
+}
+
+// TestTransferStreamAllocFree guards the queue-depth bookkeeping: once a
+// steady stream of page-ins and write-backs has warmed the completion
+// FIFOs, issuing more must not allocate.
+func TestTransferStreamAllocFree(t *testing.T) {
+	b, _ := newBus()
+	cfg := config.Default()
+	gap := cfg.IOLargeOccupancyCycles + 2*cfg.IOBaseOccupancyCycles
+	now := uint64(0)
+	step := func() {
+		b.Transfer(now, vmem.Base, nil)
+		b.WriteBack(now, vmem.Base, nil)
+		b.Transfer(now, vmem.Large, nil)
+		now += gap
+	}
+	for i := 0; i < 1000; i++ {
+		step()
+	}
+	if avg := testing.AllocsPerRun(1000, step); avg != 0 {
+		t.Fatalf("steady transfer stream allocates %.2f objects/op, want 0", avg)
+	}
+	if b.Stats().MaxQueueDepth < 3 {
+		t.Fatalf("MaxQueueDepth = %d: stream never overlapped transfers", b.Stats().MaxQueueDepth)
 	}
 }
