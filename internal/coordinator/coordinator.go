@@ -14,14 +14,15 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"net/url"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/config"
+	"repro/internal/promtext"
 	"repro/internal/server"
 	"repro/internal/serviceclient"
 )
@@ -60,22 +61,14 @@ type Coordinator struct {
 	ring    *ring
 	mux     *http.ServeMux
 
-	mu        sync.Mutex
-	campaigns map[string]*server.CampaignLog
-	seq       uint64
-	draining  bool
+	campaigns *server.Campaigns
 
 	// inflight bounds concurrently dispatched cells fleet-wide.
 	inflight chan struct{}
 
-	campaignsTotal  atomic.Uint64
-	campaignsActive atomic.Int64
-	cellsTotal      atomic.Uint64
-	cellsFailed     atomic.Uint64
-	cellsCached     atomic.Uint64
-	cellRetries     atomic.Uint64
-	workerDeaths    atomic.Uint64
-	workerRevivals  atomic.Uint64
+	cellRetries    atomic.Uint64
+	workerDeaths   atomic.Uint64
+	workerRevivals atomic.Uint64
 }
 
 // worker is one mosaicd backend and its liveness mark. dead is advisory
@@ -100,10 +93,10 @@ func New(opt Options) (*Coordinator, error) {
 		opt.MaxInFlightPerWorker = 8
 	}
 	co := &Coordinator{
-		opt:       opt,
-		campaigns: make(map[string]*server.CampaignLog),
-		inflight:  make(chan struct{}, opt.MaxInFlightPerWorker*len(opt.Workers)),
+		opt:      opt,
+		inflight: make(chan struct{}, opt.MaxInFlightPerWorker*len(opt.Workers)),
 	}
+	co.campaigns = server.NewCampaigns("coordinator", opt.BaseConfig, co.admitCell)
 	for _, u := range opt.Workers {
 		c := serviceclient.New(u)
 		c.PollInterval = opt.PollInterval
@@ -116,10 +109,11 @@ func New(opt Options) (*Coordinator, error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", co.handleHealth)
 	mux.HandleFunc("GET /metrics", co.handleMetrics)
-	mux.HandleFunc("POST /v1/campaigns", co.handleCampaignSubmit)
-	mux.HandleFunc("GET /v1/campaigns/{id}", co.handleCampaignStatus)
-	mux.HandleFunc("GET /v1/campaigns/{id}/stream", co.handleCampaignStream)
-	mux.HandleFunc("POST /v1/campaigns/{id}/cancel", co.handleCampaignCancel)
+	mux.HandleFunc("POST /v1/campaigns", func(w http.ResponseWriter, r *http.Request) {
+		co.probeDead()
+		co.campaigns.Submit(w, r)
+	})
+	co.campaigns.Route(mux)
 	mux.HandleFunc("/v1/runs", co.handleNotProxied)
 	mux.HandleFunc("/v1/runs/", co.handleNotProxied)
 	co.mux = mux
@@ -132,11 +126,7 @@ func New(opt Options) (*Coordinator, error) {
 func (co *Coordinator) Handler() http.Handler { return co.mux }
 
 // Drain stops accepting new campaigns; running ones finish.
-func (co *Coordinator) Drain() {
-	co.mu.Lock()
-	co.draining = true
-	co.mu.Unlock()
-}
+func (co *Coordinator) Drain() { co.campaigns.Close() }
 
 // writeJSON/writeError mirror the worker API's envelope so clients can
 // parse coordinator errors identically.
@@ -157,14 +147,20 @@ func (co *Coordinator) handleNotProxied(w http.ResponseWriter, r *http.Request) 
 		"coordinator serves the campaign API only; submit POST /v1/campaigns or address a worker directly for single runs")
 }
 
-// handleHealth reports ok while any worker is believed alive.
-func (co *Coordinator) handleHealth(w http.ResponseWriter, r *http.Request) {
-	alive := 0
+// alive counts the workers not marked dead.
+func (co *Coordinator) alive() int {
+	n := 0
 	for _, wk := range co.workers {
 		if !wk.dead.Load() {
-			alive++
+			n++
 		}
 	}
+	return n
+}
+
+// handleHealth reports ok while any worker is believed alive.
+func (co *Coordinator) handleHealth(w http.ResponseWriter, r *http.Request) {
+	alive := co.alive()
 	if alive == 0 {
 		writeError(w, http.StatusServiceUnavailable, "all workers down")
 		return
@@ -177,23 +173,16 @@ func (co *Coordinator) handleHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 func (co *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	alive := 0
-	for _, wk := range co.workers {
-		if !wk.dead.Load() {
-			alive++
-		}
+	u := func(v uint64) string { return strconv.FormatUint(v, 10) }
+	ms := []promtext.Metric{
+		{Name: "coordinator_workers", Help: "mosaicd workers the coordinator fans out to.", Type: "gauge", Value: strconv.Itoa(len(co.workers))},
+		{Name: "coordinator_workers_alive", Help: "Workers not currently marked dead.", Type: "gauge", Value: strconv.Itoa(co.alive())},
+		{Name: "coordinator_worker_deaths_total", Help: "Workers marked dead after a transport failure or drain rejection.", Type: "counter", Value: u(co.workerDeaths.Load())},
+		{Name: "coordinator_worker_revivals_total", Help: "Dead workers revived by the probe on campaign submit.", Type: "counter", Value: u(co.workerRevivals.Load())},
 	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	fmt.Fprintf(w, "coordinator_workers %d\n", len(co.workers))
-	fmt.Fprintf(w, "coordinator_workers_alive %d\n", alive)
-	fmt.Fprintf(w, "coordinator_worker_deaths_total %d\n", co.workerDeaths.Load())
-	fmt.Fprintf(w, "coordinator_worker_revivals_total %d\n", co.workerRevivals.Load())
-	fmt.Fprintf(w, "coordinator_campaigns_total %d\n", co.campaignsTotal.Load())
-	fmt.Fprintf(w, "coordinator_campaigns_active %d\n", co.campaignsActive.Load())
-	fmt.Fprintf(w, "coordinator_cells_total %d\n", co.cellsTotal.Load())
-	fmt.Fprintf(w, "coordinator_cells_cached_total %d\n", co.cellsCached.Load())
-	fmt.Fprintf(w, "coordinator_cells_failed_total %d\n", co.cellsFailed.Load())
-	fmt.Fprintf(w, "coordinator_cell_retries_total %d\n", co.cellRetries.Load())
+	ms = append(ms, co.campaigns.Metrics("coordinator_", "coordinator_")...)
+	promtext.Serve(w, append(ms,
+		promtext.Metric{Name: "coordinator_cell_retries_total", Help: "Cell attempts retried on another worker.", Type: "counter", Value: u(co.cellRetries.Load())}))
 }
 
 // probeDead re-checks every dead-marked worker's /healthz in parallel
@@ -219,74 +208,28 @@ func (co *Coordinator) probeDead() {
 	wg.Wait()
 }
 
-func (co *Coordinator) handleCampaignSubmit(w http.ResponseWriter, r *http.Request) {
-	var req server.CampaignRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("parsing request: %v", err))
-		return
+// admitCell is the coordinator's campaign admission: it holds one of
+// the fleet-wide in-flight slots for the cell, and the cell's finish
+// runs it on the fleet and frees the slot.
+func (co *Coordinator) admitCell(ctx context.Context, cell server.PlannedCell) (func() (server.CellEvent, bool, bool), error) {
+	select {
+	case co.inflight <- struct{}{}:
+	case <-ctx.Done():
+		return nil, ctx.Err()
 	}
-	cells, err := server.PlanCampaign(co.opt.BaseConfig, req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	co.probeDead()
-
-	co.mu.Lock()
-	if co.draining {
-		co.mu.Unlock()
-		writeError(w, http.StatusServiceUnavailable, "coordinator is draining")
-		return
-	}
-	co.seq++
-	log := server.NewCampaignLog(fmt.Sprintf("c%06d", co.seq), len(cells))
-	co.campaigns[log.ID()] = log
-	co.mu.Unlock()
-
-	co.campaignsTotal.Add(1)
-	co.campaignsActive.Add(1)
-	co.cellsTotal.Add(uint64(len(cells)))
-	accepted := log.Status() // before the runner can finish the campaign
-	go co.runCampaign(log, cells)
-	writeJSON(w, http.StatusAccepted, accepted)
+	return func() (server.CellEvent, bool, bool) {
+		defer func() { <-co.inflight }()
+		ev := co.runCell(ctx, cell)
+		return ev, ev.Cached, false
+	}, nil
 }
 
-// runCampaign dispatches every cell to the fleet, one goroutine per
-// cell under the in-flight bound, and finishes the log when all cells
-// have their terminal event.
-func (co *Coordinator) runCampaign(log *server.CampaignLog, cells []server.PlannedCell) {
-	defer co.campaignsActive.Add(-1)
-	var wg sync.WaitGroup
-	for _, cell := range cells {
-		select {
-		case co.inflight <- struct{}{}:
-		case <-log.Context().Done():
-			log.Note(cell.Event(server.JobCanceled), false, false)
-			continue
-		}
-		wg.Add(1)
-		go func(cell server.PlannedCell) {
-			defer wg.Done()
-			defer func() { <-co.inflight }()
-			co.runCell(log, cell)
-		}(cell)
-	}
-	wg.Wait()
-	if log.Context().Err() != nil {
-		log.Finish(server.CampaignCanceled)
-		return
-	}
-	log.Finish(server.CampaignDone)
-}
-
-// runCell executes one cell somewhere on the fleet and records exactly
-// one terminal event. The cell walks its consistent-hash candidate
-// order — alive workers first, dead ones as a last resort — for up to
-// two laps; a transport failure marks the worker dead and requeues the
-// cell on the next candidate.
-func (co *Coordinator) runCell(log *server.CampaignLog, cell server.PlannedCell) {
+// runCell executes one cell somewhere on the fleet and returns its
+// terminal event. The cell walks its consistent-hash candidate order —
+// alive workers first, dead ones as a last resort — for up to two laps;
+// a transport failure marks the worker dead and requeues the cell on
+// the next candidate.
+func (co *Coordinator) runCell(ctx context.Context, cell server.PlannedCell) server.CellEvent {
 	cands := co.ring.candidates(cell.Workload + "\x00" + cell.Policy + "\x00" + cell.ConfigDigest)
 	var lastErr error
 	for lap := 0; lap < 2; lap++ {
@@ -296,24 +239,18 @@ func (co *Coordinator) runCell(log *server.CampaignLog, cell server.PlannedCell)
 				if wk.dead.Load() == pass {
 					continue
 				}
-				if log.Context().Err() != nil {
-					log.Note(cell.Event(server.JobCanceled), false, false)
-					return
+				if ctx.Err() != nil {
+					return cell.Event(server.JobCanceled)
 				}
-				result, cached, err := co.runOnWorker(log.Context(), wk, cell.Req)
+				result, cached, err := co.runOnWorker(ctx, wk, cell.Req)
 				if err == nil {
 					ev := cell.Event(server.JobDone)
 					ev.Result = json.RawMessage(result)
 					ev.Cached = cached
-					if cached {
-						co.cellsCached.Add(1)
-					}
-					log.Note(ev, cached, false)
-					return
+					return ev
 				}
-				if log.Context().Err() != nil {
-					log.Note(cell.Event(server.JobCanceled), false, false)
-					return
+				if ctx.Err() != nil {
+					return cell.Event(server.JobCanceled)
 				}
 				lastErr = err
 				if isWorkerLoss(err) && !wk.dead.Swap(true) {
@@ -329,8 +266,7 @@ func (co *Coordinator) runCell(log *server.CampaignLog, cell server.PlannedCell)
 	} else {
 		ev.Error = "no worker available"
 	}
-	co.cellsFailed.Add(1)
-	log.Note(ev, false, false)
+	return ev
 }
 
 // runOnWorker runs one cell attempt end to end on one worker: submit
@@ -374,38 +310,4 @@ func isWorkerLoss(err error) bool {
 	}
 	var ue *url.Error
 	return errors.As(err, &ue)
-}
-
-func (co *Coordinator) lookupCampaign(id string) *server.CampaignLog {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	return co.campaigns[id]
-}
-
-func (co *Coordinator) handleCampaignStatus(w http.ResponseWriter, r *http.Request) {
-	log := co.lookupCampaign(r.PathValue("id"))
-	if log == nil {
-		writeError(w, http.StatusNotFound, "no such campaign")
-		return
-	}
-	writeJSON(w, http.StatusOK, log.Status())
-}
-
-func (co *Coordinator) handleCampaignCancel(w http.ResponseWriter, r *http.Request) {
-	log := co.lookupCampaign(r.PathValue("id"))
-	if log == nil {
-		writeError(w, http.StatusNotFound, "no such campaign")
-		return
-	}
-	log.Cancel()
-	writeJSON(w, http.StatusOK, log.Status())
-}
-
-func (co *Coordinator) handleCampaignStream(w http.ResponseWriter, r *http.Request) {
-	log := co.lookupCampaign(r.PathValue("id"))
-	if log == nil {
-		writeError(w, http.StatusNotFound, "no such campaign")
-		return
-	}
-	log.ServeStream(w, r)
 }

@@ -10,9 +10,12 @@ package coordinator
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -42,6 +45,13 @@ type fleet struct {
 
 func startFleet(t *testing.T, n int, shared store.ResultStore, reg *faults.Registry) *fleet {
 	t.Helper()
+	return startFleetWrapped(t, n, shared, reg, nil)
+}
+
+// startFleetWrapped is startFleet with worker i served through
+// wrap(i, handler) when wrap is non-nil.
+func startFleetWrapped(t *testing.T, n int, shared store.ResultStore, reg *faults.Registry, wrap func(int, http.Handler) http.Handler) *fleet {
+	t.Helper()
 	f := &fleet{}
 	urls := make([]string, n)
 	for i := 0; i < n; i++ {
@@ -52,7 +62,11 @@ func startFleet(t *testing.T, n int, shared store.ResultStore, reg *faults.Regis
 			Store:      shared,
 			Faults:     reg,
 		})
-		ts := httptest.NewServer(s.Handler())
+		var h http.Handler = s.Handler()
+		if wrap != nil {
+			h = wrap(i, h)
+		}
+		ts := httptest.NewServer(h)
 		f.workers = append(f.workers, s)
 		f.workerTS = append(f.workerTS, ts)
 		urls[i] = ts.URL
@@ -192,6 +206,35 @@ func TestFleetCampaign(t *testing.T) {
 			t.Errorf("resubmitted cell %d bytes differ", i)
 		}
 	}
+
+	// The cell counters on /metrics agree with the streamed events and
+	// with both campaigns' statuses (the coordinator numbers them
+	// c000001 and c000002).
+	cached, failed := 0, 0
+	for _, ev := range append(events, again...) {
+		if ev.Cached {
+			cached++
+		}
+		if ev.State == server.JobFailed {
+			failed++
+		}
+	}
+	stCached, stFailed := 0, 0
+	for _, id := range []string{"c000001", "c000002"} {
+		st, err := f.client.CampaignStatus(context.Background(), id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stCached += st.FromCache + st.FromStore
+		stFailed += st.Failed
+	}
+	if stCached != cached || stFailed != failed {
+		t.Errorf("statuses report %d cached / %d failed cells, events %d / %d", stCached, stFailed, cached, failed)
+	}
+	coordMetrics(t, f,
+		fmt.Sprintf("coordinator_cells_total %d\n", len(events)+len(again)),
+		fmt.Sprintf("coordinator_cells_cached_total %d\n", cached),
+		fmt.Sprintf("coordinator_cells_failed_total %d\n", failed))
 }
 
 // TestFleetWorkerDeadBeforeCampaign: with every cell preferring worker
@@ -391,5 +434,166 @@ func TestCoordinatorAPIErrors(t *testing.T) {
 
 	if _, err := New(Options{}); err == nil {
 		t.Error("coordinator with no workers must refuse to start")
+	}
+}
+
+// switchable serves a worker's API while up; while down it hijacks and
+// closes every connection, which is what a crashed worker looks like
+// from the coordinator until it restarts.
+type switchable struct {
+	down atomic.Bool
+	h    http.Handler
+}
+
+func (s *switchable) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if s.down.Load() {
+		if conn, _, err := w.(http.Hijacker).Hijack(); err == nil {
+			conn.Close()
+		}
+		return
+	}
+	s.h.ServeHTTP(w, r)
+}
+
+// TestFleetRevivesRestartedWorker: a worker marked dead during one
+// campaign is probed on the next submit and, once it answers again,
+// rejoins the ring and takes its cells back.
+func TestFleetRevivesRestartedWorker(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	w0 := &switchable{}
+	w0.down.Store(true)
+	f := startFleetWrapped(t, 2, store.NewMem(), nil, func(i int, h http.Handler) http.Handler {
+		if i != 0 {
+			return h
+		}
+		w0.h = h
+		return w0
+	})
+	forceRing(f.co) // every cell prefers worker 0
+
+	events, err := f.client.RunCampaign(context.Background(), sixCellGrid())
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertAllDone(t, events)
+	coordMetrics(t, f,
+		"coordinator_worker_deaths_total 1\n",
+		"coordinator_worker_revivals_total 0\n",
+		"coordinator_workers_alive 1\n")
+
+	w0.down.Store(false)
+	worker0 := serviceclient.New(f.workerTS[0].URL)
+	served := func() int {
+		m, err := worker0.Metrics(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for _, line := range strings.Split(m, "\n") {
+			for _, name := range []string{"mosaicd_runs_completed_total ", "mosaicd_cache_hits_total "} {
+				if v, ok := strings.CutPrefix(line, name); ok {
+					var k int
+					fmt.Sscan(v, &k)
+					n += k
+				}
+			}
+		}
+		return n
+	}
+	before := served()
+
+	grid := sixCellGrid()
+	grid.Base.Seed = 8 // fresh cells: nothing cached or stored yet
+	events, err = f.client.RunCampaign(context.Background(), grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertAllDone(t, events)
+	coordMetrics(t, f,
+		"coordinator_worker_revivals_total 1\n",
+		"coordinator_workers_alive 2\n")
+	if after := served(); after <= before {
+		t.Errorf("revived worker 0 served nothing: runs completed + cache hits %d -> %d", before, after)
+	}
+}
+
+// TestCoordinatorDrain: after Drain, new campaigns get 503 while a
+// campaign already running still finishes every cell.
+func TestCoordinatorDrain(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	gate := make(chan struct{})
+	reg := faults.New()
+	reg.Arm(server.PointExecBegin, faults.Trigger{Block: gate})
+	f := startFleet(t, 1, store.NewMem(), reg)
+	released := false
+	release := func() {
+		if !released {
+			released = true
+			close(gate)
+		}
+	}
+	t.Cleanup(release)
+
+	req := server.CampaignRequest{
+		Base:     server.RunRequest{Apps: []string{"SCP"}, Seed: 7},
+		Policies: []string{"gpummu", "mosaic"},
+	}
+	st, err := f.client.SubmitCampaign(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.co.Drain()
+	if _, err := f.client.SubmitCampaign(context.Background(), req); !errors.Is(err, serviceclient.ErrDraining) {
+		t.Fatalf("campaign after Drain: %v, want ErrDraining", err)
+	}
+
+	release()
+	n := 0
+	err = f.client.StreamCampaign(context.Background(), st.ID, func(ev server.CellEvent) error {
+		n++
+		if ev.State != server.JobDone {
+			t.Errorf("cell %d after Drain: state %s (%s)", ev.Index, ev.State, ev.Error)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	final, err := f.client.CampaignStatus(context.Background(), st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 2 || final.State != server.CampaignDone || final.Done != 2 {
+		t.Fatalf("running campaign across Drain: %d events, status %+v", n, final)
+	}
+}
+
+// TestMetricsExposition: every value line on both /metrics endpoints —
+// a worker's and the coordinator's — follows its own # HELP and # TYPE
+// lines.
+func TestMetricsExposition(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	f := startFleet(t, 1, store.NewMem(), nil)
+	for _, url := range []string{f.workerTS[0].URL, f.coTS.URL} {
+		m, err := serviceclient.New(url).Metrics(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSuffix(m, "\n"), "\n")
+		values := 0
+		for i, line := range lines {
+			if strings.HasPrefix(line, "#") {
+				continue
+			}
+			values++
+			name, _, _ := strings.Cut(line, " ")
+			if i < 2 || !strings.HasPrefix(lines[i-2], "# HELP "+name+" ") ||
+				(lines[i-1] != "# TYPE "+name+" counter" && lines[i-1] != "# TYPE "+name+" gauge") {
+				t.Errorf("%s/metrics: %q lacks its # HELP/# TYPE pair", url, line)
+			}
+		}
+		if values == 0 {
+			t.Errorf("%s/metrics has no value lines", url)
+		}
 	}
 }

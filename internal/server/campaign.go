@@ -6,10 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/config"
+	"repro/internal/promtext"
 )
 
 // maxCampaignCells bounds one campaign's grid; larger sweeps should be
@@ -97,7 +100,7 @@ func PlanCampaign(base func() config.Config, req CampaignRequest) ([]PlannedCell
 	return cells, nil
 }
 
-// cellSource records how a campaign cell was answered.
+// cellSource records how mosaicd answered a run or campaign cell.
 type cellSource int
 
 const (
@@ -106,19 +109,208 @@ const (
 	srcStore                   // answered from the persistent store
 )
 
-// CampaignLog is the bookkeeping behind one campaign: its cancellation
-// context, lifecycle counters, and the append-only event log that
-// NDJSON streams replay from. mosaicd's local campaign runner and the
-// coordinator's fleet fan-out share this one implementation, so clients
-// see an identical stream either way: every event from the start on
-// (re)connect, follow-mode until terminal, then a clean close.
-type CampaignLog struct {
+// Campaigns serves the campaign API — submit, status, stream, cancel —
+// for one front-end. mosaicd and the coordinator each own one and
+// differ only in their admit function, so clients see the same plans,
+// IDs, streams and counters from either.
+//
+// admit blocks until a cell may start: an error ends the cell failed,
+// or canceled when it wraps context.Canceled. Otherwise it returns the
+// function that finishes the cell — it waits for the outcome and
+// returns the cell's terminal event and whether the cell was answered
+// from a cache or from a result store.
+type Campaigns struct {
+	who   string // names the front-end in the draining 503
+	base  func() config.Config
+	admit func(ctx context.Context, cell PlannedCell) (finish func() (ev CellEvent, fromCache, fromStore bool), err error)
+
+	mu     sync.Mutex
+	closed bool
+	seq    uint64
+	byID   map[string]*campaign
+
+	total, cells, cached, failed atomic.Uint64
+	active                       atomic.Int64
+}
+
+// NewCampaigns builds the campaign table of the front-end named who
+// ("server", "coordinator"), planning grids from base and running cells
+// through admit.
+func NewCampaigns(who string, base func() config.Config,
+	admit func(ctx context.Context, cell PlannedCell) (finish func() (ev CellEvent, fromCache, fromStore bool), err error)) *Campaigns {
+	return &Campaigns{who: who, base: base, admit: admit, byID: make(map[string]*campaign)}
+}
+
+// Close turns away new campaigns with 503; running ones keep going.
+func (c *Campaigns) Close() {
+	c.mu.Lock()
+	c.closed = true
+	c.mu.Unlock()
+}
+
+// Metrics reports the campaign counters, named with the front-end's
+// prefixes: <campaigns>campaigns_{total,active} and
+// <cells>cells_{total,cached_total,failed_total}.
+func (c *Campaigns) Metrics(campaigns, cells string) []promtext.Metric {
+	u := func(v uint64) string { return strconv.FormatUint(v, 10) }
+	return []promtext.Metric{
+		{Name: campaigns + "campaigns_total", Help: "Campaigns accepted.", Type: "counter", Value: u(c.total.Load())},
+		{Name: campaigns + "campaigns_active", Help: "Campaigns currently running.", Type: "gauge", Value: strconv.FormatInt(c.active.Load(), 10)},
+		{Name: cells + "cells_total", Help: "Cells across all accepted campaigns.", Type: "counter", Value: u(c.cells.Load())},
+		{Name: cells + "cells_cached_total", Help: "Campaign cells answered from the cache or store.", Type: "counter", Value: u(c.cached.Load())},
+		{Name: cells + "cells_failed_total", Help: "Campaign cells that ended failed.", Type: "counter", Value: u(c.failed.Load())},
+	}
+}
+
+// Submit is the POST /v1/campaigns handler: plan the grid, register it
+// under the next c%06d ID and start its feeder.
+func (c *Campaigns) Submit(w http.ResponseWriter, r *http.Request) {
+	var req CampaignRequest
+	if !decodeRequest(w, r, &req) {
+		return
+	}
+	cells, err := PlanCampaign(c.base, req)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		writeError(w, http.StatusServiceUnavailable, c.who+" is draining")
+		return
+	}
+	c.seq++
+	cp := newCampaign(fmt.Sprintf("c%06d", c.seq), len(cells))
+	c.byID[cp.id] = cp
+	c.mu.Unlock()
+
+	c.total.Add(1)
+	c.active.Add(1)
+	c.cells.Add(uint64(len(cells)))
+	// Snapshot before the feeder starts: cells answered from a cache can
+	// finish the campaign before the response is written, and the 202
+	// reports the campaign as accepted, not as it is by then.
+	accepted := cp.status()
+	go c.run(cp, cells)
+	writeJSON(w, http.StatusAccepted, accepted)
+}
+
+// Route registers the per-campaign endpoints on mux: status, the NDJSON
+// event stream, and cancel. Each front-end mounts Submit itself.
+func (c *Campaigns) Route(mux *http.ServeMux) {
+	mux.HandleFunc("GET /v1/campaigns/{id}", func(w http.ResponseWriter, r *http.Request) {
+		if cp := c.lookup(w, r); cp != nil {
+			writeJSON(w, http.StatusOK, cp.status())
+		}
+	})
+	mux.HandleFunc("GET /v1/campaigns/{id}/stream", func(w http.ResponseWriter, r *http.Request) {
+		if cp := c.lookup(w, r); cp != nil {
+			cp.serveStream(w, r)
+		}
+	})
+	// Cancel stops feeding; unfinished cells emit canceled events and the
+	// stream closes after the terminal replay. Cells already running
+	// finish and keep warming caches and stores. Canceling a terminal
+	// campaign is a no-op.
+	mux.HandleFunc("POST /v1/campaigns/{id}/cancel", func(w http.ResponseWriter, r *http.Request) {
+		if cp := c.lookup(w, r); cp != nil {
+			cp.cancel()
+			writeJSON(w, http.StatusOK, cp.status())
+		}
+	})
+}
+
+// lookup resolves the request's campaign, answering 404 itself when
+// there is none.
+func (c *Campaigns) lookup(w http.ResponseWriter, r *http.Request) *campaign {
+	c.mu.Lock()
+	cp := c.byID[r.PathValue("id")]
+	c.mu.Unlock()
+	if cp == nil {
+		writeError(w, http.StatusNotFound, "no such campaign")
+	}
+	return cp
+}
+
+// run is the campaign's feeder: it admits cells in grid order and
+// spawns one waiter per admitted cell that records the cell's single
+// terminal event. Cell failures are recorded, never fatal; a canceled
+// campaign marks its unfed cells canceled.
+func (c *Campaigns) run(cp *campaign, cells []PlannedCell) {
+	defer c.active.Add(-1)
+	var wg sync.WaitGroup
+	for _, cell := range cells {
+		if cp.ctx.Err() != nil {
+			c.note(cp, cell.Event(JobCanceled), false, false)
+			continue
+		}
+		finish, err := c.admit(cp.ctx, cell)
+		if err != nil {
+			ev := cell.Event(JobCanceled)
+			if !errors.Is(err, context.Canceled) {
+				ev.State, ev.Error = JobFailed, err.Error()
+			}
+			c.note(cp, ev, false, false)
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ev, fromCache, fromStore := finish()
+			c.note(cp, ev, fromCache, fromStore)
+		}()
+	}
+	wg.Wait()
+	if cp.ctx.Err() != nil {
+		cp.finish(CampaignCanceled)
+		return
+	}
+	cp.finish(CampaignDone)
+}
+
+// note records a cell's terminal event: the table's counters, the
+// campaign's counters and event log, and a wakeup for stream followers.
+// Exactly one note per cell is the feeder's contract — the log does not
+// deduplicate.
+func (c *Campaigns) note(cp *campaign, ev CellEvent, fromCache, fromStore bool) {
+	if ev.Cached {
+		c.cached.Add(1)
+	}
+	cp.mu.Lock()
+	switch ev.State {
+	case JobDone:
+		cp.done++
+	case JobFailed:
+		cp.failed++
+		c.failed.Add(1)
+	case JobCanceled:
+		cp.canceled++
+	}
+	if fromCache {
+		cp.fromCache++
+	}
+	if fromStore {
+		cp.fromStore++
+	}
+	cp.events = append(cp.events, ev)
+	close(cp.bump)
+	cp.bump = make(chan struct{})
+	cp.mu.Unlock()
+}
+
+// campaign is one accepted grid: its cancellation context, lifecycle
+// counters, and the append-only event log that NDJSON streams replay
+// from — every event from the start on (re)connect, follow-mode until
+// terminal, then a clean close.
+type campaign struct {
 	id    string
 	cells int
 
 	// ctx ends the campaign early; work already in flight is left to
-	// finish (it warms caches and stores either way) — Cancel stops
-	// feeding and unfinished cells are marked canceled by the runner.
+	// finish (it warms caches and stores either way) — cancel stops
+	// feeding and unfinished cells are marked canceled by the feeder.
 	ctx    context.Context
 	cancel context.CancelFunc
 
@@ -138,11 +330,9 @@ type CampaignLog struct {
 	finished chan struct{}
 }
 
-// NewCampaignLog starts the log for a campaign of the given grid size
-// in the running state.
-func NewCampaignLog(id string, cells int) *CampaignLog {
+func newCampaign(id string, cells int) *campaign {
 	ctx, cancel := context.WithCancel(context.Background())
-	return &CampaignLog{
+	return &campaign{
 		id:       id,
 		cells:    cells,
 		ctx:      ctx,
@@ -153,44 +343,9 @@ func NewCampaignLog(id string, cells int) *CampaignLog {
 	}
 }
 
-// ID returns the campaign's identifier.
-func (l *CampaignLog) ID() string { return l.id }
-
-// Context is done once the campaign is canceled; runners watch it to
-// stop feeding cells.
-func (l *CampaignLog) Context() context.Context { return l.ctx }
-
-// Cancel ends the campaign early. Idempotent.
-func (l *CampaignLog) Cancel() { l.cancel() }
-
-// Note records a cell's terminal event: counters, the event log, and a
-// wakeup for stream followers. Exactly one Note per cell is the
-// runner's contract — the log does not deduplicate.
-func (l *CampaignLog) Note(ev CellEvent, fromCache, fromStore bool) {
-	l.mu.Lock()
-	switch ev.State {
-	case JobDone:
-		l.done++
-	case JobFailed:
-		l.failed++
-	case JobCanceled:
-		l.canceled++
-	}
-	if fromCache {
-		l.fromCache++
-	}
-	if fromStore {
-		l.fromStore++
-	}
-	l.events = append(l.events, ev)
-	close(l.bump)
-	l.bump = make(chan struct{})
-	l.mu.Unlock()
-}
-
-// Finish moves the campaign to a terminal state exactly once; later
+// finish moves the campaign to a terminal state exactly once; later
 // calls are no-ops.
-func (l *CampaignLog) Finish(state CampaignState) {
+func (l *campaign) finish(state CampaignState) {
 	l.mu.Lock()
 	if !l.state.Terminal() {
 		l.state = state
@@ -199,8 +354,8 @@ func (l *CampaignLog) Finish(state CampaignState) {
 	l.mu.Unlock()
 }
 
-// Status snapshots the campaign for a wire response.
-func (l *CampaignLog) Status() CampaignStatus {
+// status snapshots the campaign for a wire response.
+func (l *campaign) status() CampaignStatus {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return CampaignStatus{
@@ -215,10 +370,10 @@ func (l *CampaignLog) Status() CampaignStatus {
 	}
 }
 
-// ServeStream writes the campaign's NDJSON event stream: every event
+// serveStream writes the campaign's NDJSON event stream: every event
 // from the campaign's start (replay makes reconnects lossless), then
 // follow-mode until the campaign is terminal and fully drained.
-func (l *CampaignLog) ServeStream(w http.ResponseWriter, r *http.Request) {
+func (l *campaign) serveStream(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
@@ -246,7 +401,7 @@ func (l *CampaignLog) ServeStream(w http.ResponseWriter, r *http.Request) {
 		select {
 		case <-bump:
 		case <-l.finished:
-			// Every event lands before Finish; loop once more to drain,
+			// Every event lands before finish; loop once more to drain,
 			// then exit on the terminal re-check.
 		case <-r.Context().Done():
 			return
@@ -254,196 +409,46 @@ func (l *CampaignLog) ServeStream(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// campaign is one accepted sweep grid on this server: the shared log
-// plus the planned cells the local runner executes.
-type campaign struct {
-	*CampaignLog
-	cells []PlannedCell
-}
-
-func newCampaign(id string, cells []PlannedCell) *campaign {
-	return &campaign{CampaignLog: NewCampaignLog(id, len(cells)), cells: cells}
-}
-
-// noteCell records a cell's terminal event with its source attribution.
-func (c *campaign) noteCell(ev CellEvent, src cellSource) {
-	c.Note(ev, src == srcCache, src == srcStore)
-}
-
-func (s *Server) handleCampaignSubmit(w http.ResponseWriter, r *http.Request) {
-	var req CampaignRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("parsing request: %v", err))
-		return
-	}
-	cells, err := PlanCampaign(s.opt.BaseConfig, req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	}
-	s.campaignSeq++
-	c := newCampaign(fmt.Sprintf("c%06d", s.campaignSeq), cells)
-	s.campaigns[c.ID()] = c
-	s.mu.Unlock()
-
-	s.campaignsTotal.Add(1)
-	s.campaignsActive.Add(1)
-	s.campaignCells.Add(uint64(len(cells)))
-	// Snapshot before the runner starts: cells answered from the cache
-	// can finish the campaign before the response is written, and the
-	// 202 reports the campaign as accepted, not as it is by then.
-	accepted := c.Status()
-	go s.runCampaign(c)
-	writeJSON(w, http.StatusAccepted, accepted)
-}
-
-// runCampaign is the campaign's feeder: it submits cells in grid order
-// (cache → store → queue, blocking on queue pressure rather than
-// bouncing) and spawns one waiter per cell that emits the cell's single
-// terminal event. Cell failures are recorded, never fatal; a canceled
-// campaign marks its unfinished cells canceled.
-func (s *Server) runCampaign(c *campaign) {
-	defer s.campaignsActive.Add(-1)
-	var wg sync.WaitGroup
-	for _, cell := range c.cells {
-		if c.Context().Err() != nil {
-			c.noteCell(cell.Event(JobCanceled), srcSim)
-			continue
-		}
-		j, src, err := s.submitCell(c, cell)
-		if err != nil {
-			state := JobFailed
-			if errors.Is(err, context.Canceled) {
-				state = JobCanceled
-			}
-			ev := cell.Event(state)
-			ev.Error = err.Error()
-			if state == JobCanceled {
-				ev.Error = ""
-			}
-			if state == JobFailed {
-				s.campaignCellsFailed.Add(1)
-			}
-			c.noteCell(ev, srcSim)
-			continue
-		}
-		wg.Add(1)
-		go func(cell PlannedCell, j *job, src cellSource) {
-			defer wg.Done()
-			s.awaitCell(c, cell, j, src)
-		}(cell, j, src)
-	}
-	wg.Wait()
-	if c.Context().Err() != nil {
-		c.Finish(CampaignCanceled)
-		return
-	}
-	c.Finish(CampaignDone)
-}
-
-// submitCell resolves one cell onto a job: an existing cached job, a
-// store-answered done job, or a freshly enqueued one. Unlike the HTTP
-// submission path it absorbs queue pressure by waiting (a campaign is
-// one client; 429-bouncing it against itself would just spin), while
-// still honoring cancellation and drain.
-func (s *Server) submitCell(c *campaign, cell PlannedCell) (*job, cellSource, error) {
+// submitCell is mosaicd's campaign admission: it admits the cell's run
+// like POST /v1/runs does, but absorbs queue pressure by retrying every
+// 2ms (a campaign is one client; 429-bouncing it against itself would
+// just spin) while honoring the campaign's cancellation. A cell's
+// timeout clock starts at its first enqueue attempt.
+func (s *Server) submitCell(ctx context.Context, cell PlannedCell) (func() (CellEvent, bool, bool), error) {
 	j, err := s.buildJob(cell.Req)
 	if err != nil {
-		return nil, srcSim, err
+		return nil, err
 	}
-
-	s.mu.Lock()
-	if existing, ok := s.cache[j.key]; ok {
-		s.touch(existing)
-		s.mu.Unlock()
-		s.cacheHits.Add(1)
-		return existing, srcCache, nil
-	}
-	s.mu.Unlock()
-
-	if result := s.tryStore(j); result != nil {
-		j.finish(JobDone, "", result)
-		s.mu.Lock()
-		if s.draining {
-			s.mu.Unlock()
-			return nil, srcSim, errors.New("server is draining")
-		}
-		if existing, ok := s.cache[j.key]; ok {
-			s.touch(existing)
-			s.mu.Unlock()
-			s.cacheHits.Add(1)
-			return existing, srcCache, nil
-		}
-		s.seq++
-		j.id = fmt.Sprintf("r%06d", s.seq)
-		s.jobs[j.id] = j
-		s.cache[j.key] = j
-		j.lruElem = s.lru.PushFront(j)
-		s.trimLRU()
-		s.mu.Unlock()
-		s.storeServes.Add(1)
-		return j, srcStore, nil
-	}
-
-	started := false
 	for {
-		if err := c.Context().Err(); err != nil {
-			return nil, srcSim, err
-		}
-		s.mu.Lock()
-		if s.draining {
-			s.mu.Unlock()
-			return nil, srcSim, errors.New("server is draining")
-		}
-		if existing, ok := s.cache[j.key]; ok {
-			s.touch(existing)
-			s.mu.Unlock()
-			s.cacheHits.Add(1)
-			return existing, srcCache, nil
-		}
-		if !started {
-			j.start(s.opt.DefaultTimeout) // before enqueue: the dispatcher reads j.ctx
-			started = true
-		}
-		select {
-		case s.queue <- j:
-			s.seq++
-			j.id = fmt.Sprintf("r%06d", s.seq)
-			s.jobs[j.id] = j
-			s.cache[j.key] = j
-			s.mu.Unlock()
-			s.cacheMisses.Add(1)
-			s.accepted.Add(1)
-			return j, srcSim, nil
-		default:
-			s.mu.Unlock()
+		got, src, err := s.admit(j)
+		if errors.Is(err, errQueueFull) {
 			select {
-			case <-c.Context().Done():
-				return nil, srcSim, c.Context().Err()
 			case <-time.After(2 * time.Millisecond):
+				continue
+			case <-ctx.Done():
+				err = ctx.Err()
 			}
 		}
+		if err != nil {
+			if j.cancel != nil {
+				j.cancel() // started but never admitted: release its context
+			}
+			return nil, err
+		}
+		return func() (CellEvent, bool, bool) {
+			return s.awaitCell(ctx, cell, got, src), src == srcCache, src == srcStore
+		}, nil
 	}
 }
 
-// awaitCell waits for one cell's job and emits the cell's terminal
-// event. A campaign cancellation emits a canceled event immediately;
+// awaitCell waits for one cell's job and builds the cell's terminal
+// event. A campaign cancellation yields a canceled event immediately;
 // the underlying job keeps running (its result still warms the store).
-func (s *Server) awaitCell(c *campaign, cell PlannedCell, j *job, src cellSource) {
+func (s *Server) awaitCell(ctx context.Context, cell PlannedCell, j *job, src cellSource) CellEvent {
 	select {
 	case <-j.done:
-	case <-c.Context().Done():
-		c.noteCell(cell.Event(JobCanceled), src)
-		return
+	case <-ctx.Done():
+		return cell.Event(JobCanceled)
 	}
 
 	j.mu.Lock()
@@ -460,60 +465,15 @@ func (s *Server) awaitCell(c *campaign, cell PlannedCell, j *job, src cellSource
 		if result == nil {
 			ev.State = JobFailed
 			ev.Error = "result evicted from cache and not in store"
-			s.campaignCellsFailed.Add(1)
 		} else {
 			ev.Result = json.RawMessage(result)
 			ev.Cached = src != srcSim
-			if src != srcSim {
-				s.campaignCellsCached.Add(1)
-			}
 		}
 	case JobFailed:
 		ev.Error = errMsg
-		s.campaignCellsFailed.Add(1)
 	case JobCanceled:
 		// The underlying job was canceled out from under the campaign
 		// (explicit /v1/runs cancel or drain); the cell reads canceled.
 	}
-	c.noteCell(ev, src)
-}
-
-func (s *Server) lookupCampaign(id string) *campaign {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.campaigns[id]
-}
-
-func (s *Server) handleCampaignStatus(w http.ResponseWriter, r *http.Request) {
-	c := s.lookupCampaign(r.PathValue("id"))
-	if c == nil {
-		writeError(w, http.StatusNotFound, "no such campaign")
-		return
-	}
-	writeJSON(w, http.StatusOK, c.Status())
-}
-
-// handleCampaignCancel stops the campaign: feeding ends, unfinished
-// cells emit canceled events, and the stream closes after the terminal
-// replay. Cells already simulating run to completion and keep warming
-// the cache and store. Canceling a terminal campaign is a no-op.
-func (s *Server) handleCampaignCancel(w http.ResponseWriter, r *http.Request) {
-	c := s.lookupCampaign(r.PathValue("id"))
-	if c == nil {
-		writeError(w, http.StatusNotFound, "no such campaign")
-		return
-	}
-	c.Cancel()
-	writeJSON(w, http.StatusOK, c.Status())
-}
-
-// handleCampaignStream serves the campaign's NDJSON event stream via
-// the shared CampaignLog replay.
-func (s *Server) handleCampaignStream(w http.ResponseWriter, r *http.Request) {
-	c := s.lookupCampaign(r.PathValue("id"))
-	if c == nil {
-		writeError(w, http.StatusNotFound, "no such campaign")
-		return
-	}
-	c.ServeStream(w, r)
+	return ev
 }

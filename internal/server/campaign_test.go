@@ -2,15 +2,19 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/config"
 	"repro/internal/sim"
 	"repro/internal/store"
+	"repro/internal/testutil"
 )
 
 func postCampaign(t *testing.T, ts *httptest.Server, req CampaignRequest) (int, CampaignStatus, string) {
@@ -196,6 +200,29 @@ func TestCampaignDedup(t *testing.T) {
 			t.Fatalf("cell %d bytes differ between campaigns", i)
 		}
 	}
+
+	// The campaign counters on /metrics agree with the streamed events
+	// and with both campaigns' statuses.
+	cached, failed := 0, 0
+	for _, ev := range append(first, second...) {
+		if ev.Cached {
+			cached++
+		}
+		if ev.State == JobFailed {
+			failed++
+		}
+	}
+	cold := campaignStatus(t, ts, st1.ID)
+	if got := cold.FromCache + cold.FromStore + final.FromCache + final.FromStore; got != cached {
+		t.Errorf("statuses report %d cells from cache or store, events %d", got, cached)
+	}
+	if got := cold.Failed + final.Failed; got != failed {
+		t.Errorf("statuses report %d failed cells, events %d", got, failed)
+	}
+	mustMetric(t, ts,
+		fmt.Sprintf("mosaicd_campaign_cells_total %d\n", len(first)+len(second)),
+		fmt.Sprintf("mosaicd_campaign_cells_cached_total %d\n", cached),
+		fmt.Sprintf("mosaicd_campaign_cells_failed_total %d\n", failed))
 }
 
 // TestCampaignFromStore: a fresh daemon over a warmed store answers a
@@ -332,3 +359,83 @@ func TestCampaignDigestsMatchSweep(t *testing.T) {
 	}
 }
 
+// metricValue returns the value of one unlabeled sample on /metrics.
+func metricValue(t *testing.T, ts *httptest.Server, name string) string {
+	t.Helper()
+	_, body := getJSON(t, ts.URL+"/metrics")
+	for _, line := range strings.Split(body, "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			return v
+		}
+	}
+	t.Fatalf("/metrics has no %s:\n%s", name, body)
+	return ""
+}
+
+// TestCampaignAbsorbsQueuePressure: a campaign larger than the queue
+// waits for room instead of bouncing itself, while a plain submission
+// against the same full queue still gets 429 — and only that one
+// counts as rejected.
+func TestCampaignAbsorbsQueuePressure(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	_, ts, release, execs := newStubServer(t, Options{Workers: 1, QueueSize: 1})
+
+	_, st, _ := postCampaign(t, ts, CampaignRequest{
+		Base:     RunRequest{Apps: []string{"SCP"}},
+		Policies: []string{"gpummu", "mosaic"},
+		Dim:      "l1base",
+		Values:   []int{16, 64},
+	})
+	// Cell 0 runs on the one worker, cell 1 waits in the dispatcher's
+	// hand-off, cell 2 fills the queue and cell 3 is held back.
+	waitFor(t, func() bool {
+		return execs.Load() == 1 && metricValue(t, ts, "mosaicd_queue_depth") == "1" &&
+			metricValue(t, ts, "mosaicd_jobs_accepted_total") == "3"
+	}, "the campaign to fill the worker and the queue")
+	if code, _, body := postRun(t, ts, RunRequest{Apps: []string{"SCP"}, Seed: 99}); code != http.StatusTooManyRequests {
+		t.Fatalf("submission against a full queue: HTTP %d: %s", code, body)
+	}
+
+	close(release)
+	evs := streamEvents(t, ts, st.ID)
+	if len(evs) != 4 {
+		t.Fatalf("%d events, want 4", len(evs))
+	}
+	for _, ev := range evs {
+		if ev.State != JobDone {
+			t.Fatalf("cell %d: state %s (%s)", ev.Index, ev.State, ev.Error)
+		}
+	}
+	mustMetric(t, ts,
+		"mosaicd_jobs_rejected_total 1\n",
+		"mosaicd_jobs_accepted_total 4\n",
+		"mosaicd_campaign_cells_failed_total 0\n")
+}
+
+// TestCampaignDrain: once Shutdown begins, new campaigns get 503 like
+// new runs do.
+func TestCampaignDrain(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	s, ts, release, _ := newStubServer(t, Options{Workers: 1})
+	_, run, _ := postRun(t, ts, RunRequest{Apps: []string{"SCP"}})
+	waitState(t, ts, run.ID, JobRunning)
+
+	done := make(chan error, 1)
+	go func() { done <- s.Shutdown(context.Background()) }()
+	waitFor(t, func() bool {
+		code, _ := getJSON(t, ts.URL+"/healthz")
+		return code == http.StatusServiceUnavailable
+	}, "healthz to report draining")
+	code, _, body := postCampaign(t, ts, CampaignRequest{
+		Base:     RunRequest{Apps: []string{"SCP"}},
+		Policies: []string{"mosaic"},
+	})
+	if code != http.StatusServiceUnavailable {
+		t.Fatalf("campaign while draining: HTTP %d: %s", code, body)
+	}
+
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+}

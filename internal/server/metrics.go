@@ -1,9 +1,10 @@
 package server
 
 import (
-	"fmt"
 	"net/http"
 	"strconv"
+
+	"repro/internal/promtext"
 )
 
 // handleMetrics renders the service counters in the Prometheus text
@@ -23,44 +24,33 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	sc := s.store.Counters()
 
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	type metric struct {
-		name, help, typ, val string
-	}
-	for _, m := range []metric{
-		{"mosaicd_queue_depth", "Jobs accepted and waiting for a worker.", "gauge", strconv.Itoa(len(s.queue))},
-		{"mosaicd_queue_capacity", "Bounded queue size; submissions beyond it get 429.", "gauge", strconv.Itoa(cap(s.queue))},
-		{"mosaicd_workers", "Size of the simulation worker pool.", "gauge", strconv.Itoa(s.workers)},
-		{"mosaicd_workers_busy", "Workers currently executing a simulation.", "gauge", strconv.FormatInt(busy, 10)},
-		{"mosaicd_worker_utilization", "Busy workers / pool size, in [0, 1].", "gauge", formatFloat(util)},
-		{"mosaicd_jobs_accepted_total", "Submissions enqueued as new jobs.", "counter", strconv.FormatUint(s.accepted.Load(), 10)},
-		{"mosaicd_jobs_rejected_total", "Submissions rejected with 429 (queue full).", "counter", strconv.FormatUint(s.rejected.Load(), 10)},
-		{"mosaicd_runs_completed_total", "Simulations finished successfully.", "counter", strconv.FormatUint(s.runsCompleted.Load(), 10)},
-		{"mosaicd_runs_failed_total", "Simulations that errored, panicked, or hit their deadline.", "counter", strconv.FormatUint(s.runsFailed.Load(), 10)},
-		{"mosaicd_runs_canceled_total", "Jobs canceled by request before completing.", "counter", strconv.FormatUint(s.runsCanceled.Load(), 10)},
-		{"mosaicd_cache_hits_total", "Submissions served by an existing identical job.", "counter", strconv.FormatUint(hits, 10)},
-		{"mosaicd_cache_misses_total", "Submissions that required a new simulation.", "counter", strconv.FormatUint(misses, 10)},
-		{"mosaicd_cache_hit_rate", "Hits / (hits + misses), in [0, 1].", "gauge", formatFloat(hitRate)},
-		{"mosaicd_cache_evictions_total", "Failed/canceled jobs evicted so retries run fresh.", "counter", strconv.FormatUint(s.cacheEvictions.Load(), 10)},
-		{"mosaicd_cache_size", "Jobs currently in the in-memory result cache.", "gauge", strconv.Itoa(cacheSize)},
-		{"mosaicd_cache_capacity", "Bound on cached done results (0 = unbounded).", "gauge", strconv.Itoa(s.cacheCap)},
-		{"mosaicd_cache_lru_evictions_total", "Done results evicted by the LRU bound (still served from the store).", "counter", strconv.FormatUint(s.cacheLRUEvictions.Load(), 10)},
-		{"mosaicd_store_serves_total", "Submissions answered from the persistent store without simulating.", "counter", strconv.FormatUint(s.storeServes.Load(), 10)},
-		{"mosaicd_store_put_errors_total", "Completed results that failed to persist to the store.", "counter", strconv.FormatUint(s.storePutErrors.Load(), 10)},
-		{"mosaicd_store_gets_total", "Store lookups.", "counter", strconv.FormatUint(sc.Gets, 10)},
-		{"mosaicd_store_hits_total", "Store lookups that returned a payload.", "counter", strconv.FormatUint(sc.Hits, 10)},
-		{"mosaicd_store_puts_total", "Results persisted to the store.", "counter", strconv.FormatUint(sc.Puts, 10)},
-		{"mosaicd_store_dup_puts_total", "Identical re-puts deduplicated by the store.", "counter", strconv.FormatUint(sc.DupPuts, 10)},
-		{"mosaicd_store_quarantined_total", "Corrupt store entries quarantined instead of served.", "counter", strconv.FormatUint(sc.Quarantined, 10)},
-		{"mosaicd_store_quarantine_pruned_total", "Quarantined files deleted by the per-shard retention bound.", "counter", strconv.FormatUint(sc.QuarantinePruned, 10)},
-		{"mosaicd_campaigns_total", "Campaigns accepted.", "counter", strconv.FormatUint(s.campaignsTotal.Load(), 10)},
-		{"mosaicd_campaigns_active", "Campaigns currently running.", "gauge", strconv.FormatInt(s.campaignsActive.Load(), 10)},
-		{"mosaicd_campaign_cells_total", "Cells across all accepted campaigns.", "counter", strconv.FormatUint(s.campaignCells.Load(), 10)},
-		{"mosaicd_campaign_cells_cached_total", "Campaign cells answered from the cache or store.", "counter", strconv.FormatUint(s.campaignCellsCached.Load(), 10)},
-		{"mosaicd_campaign_cells_failed_total", "Campaign cells that ended failed.", "counter", strconv.FormatUint(s.campaignCellsFailed.Load(), 10)},
-	} {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %s\n", m.name, m.help, m.name, m.typ, m.name, m.val)
-	}
+	promtext.Serve(w, append([]promtext.Metric{
+		{Name: "mosaicd_queue_depth", Help: "Jobs accepted and waiting for a worker.", Type: "gauge", Value: strconv.Itoa(len(s.queue))},
+		{Name: "mosaicd_queue_capacity", Help: "Bounded queue size; submissions beyond it get 429.", Type: "gauge", Value: strconv.Itoa(cap(s.queue))},
+		{Name: "mosaicd_workers", Help: "Size of the simulation worker pool.", Type: "gauge", Value: strconv.Itoa(s.workers)},
+		{Name: "mosaicd_workers_busy", Help: "Workers currently executing a simulation.", Type: "gauge", Value: strconv.FormatInt(busy, 10)},
+		{Name: "mosaicd_worker_utilization", Help: "Busy workers / pool size, in [0, 1].", Type: "gauge", Value: formatFloat(util)},
+		{Name: "mosaicd_jobs_accepted_total", Help: "Submissions enqueued as new jobs.", Type: "counter", Value: strconv.FormatUint(s.accepted.Load(), 10)},
+		{Name: "mosaicd_jobs_rejected_total", Help: "Submissions rejected with 429 (queue full).", Type: "counter", Value: strconv.FormatUint(s.rejected.Load(), 10)},
+		{Name: "mosaicd_runs_completed_total", Help: "Simulations finished successfully.", Type: "counter", Value: strconv.FormatUint(s.runsCompleted.Load(), 10)},
+		{Name: "mosaicd_runs_failed_total", Help: "Simulations that errored, panicked, or hit their deadline.", Type: "counter", Value: strconv.FormatUint(s.runsFailed.Load(), 10)},
+		{Name: "mosaicd_runs_canceled_total", Help: "Jobs canceled by request before completing.", Type: "counter", Value: strconv.FormatUint(s.runsCanceled.Load(), 10)},
+		{Name: "mosaicd_cache_hits_total", Help: "Submissions served by an existing identical job.", Type: "counter", Value: strconv.FormatUint(hits, 10)},
+		{Name: "mosaicd_cache_misses_total", Help: "Submissions that required a new simulation.", Type: "counter", Value: strconv.FormatUint(misses, 10)},
+		{Name: "mosaicd_cache_hit_rate", Help: "Hits / (hits + misses), in [0, 1].", Type: "gauge", Value: formatFloat(hitRate)},
+		{Name: "mosaicd_cache_evictions_total", Help: "Failed/canceled jobs evicted so retries run fresh.", Type: "counter", Value: strconv.FormatUint(s.cacheEvictions.Load(), 10)},
+		{Name: "mosaicd_cache_size", Help: "Jobs currently in the in-memory result cache.", Type: "gauge", Value: strconv.Itoa(cacheSize)},
+		{Name: "mosaicd_cache_capacity", Help: "Bound on cached done results (0 = unbounded).", Type: "gauge", Value: strconv.Itoa(s.cacheCap)},
+		{Name: "mosaicd_cache_lru_evictions_total", Help: "Done results evicted by the LRU bound (still served from the store).", Type: "counter", Value: strconv.FormatUint(s.cacheLRUEvictions.Load(), 10)},
+		{Name: "mosaicd_store_serves_total", Help: "Submissions answered from the persistent store without simulating.", Type: "counter", Value: strconv.FormatUint(s.storeServes.Load(), 10)},
+		{Name: "mosaicd_store_put_errors_total", Help: "Completed results that failed to persist to the store.", Type: "counter", Value: strconv.FormatUint(s.storePutErrors.Load(), 10)},
+		{Name: "mosaicd_store_gets_total", Help: "Store lookups.", Type: "counter", Value: strconv.FormatUint(sc.Gets, 10)},
+		{Name: "mosaicd_store_hits_total", Help: "Store lookups that returned a payload.", Type: "counter", Value: strconv.FormatUint(sc.Hits, 10)},
+		{Name: "mosaicd_store_puts_total", Help: "Results persisted to the store.", Type: "counter", Value: strconv.FormatUint(sc.Puts, 10)},
+		{Name: "mosaicd_store_dup_puts_total", Help: "Identical re-puts deduplicated by the store.", Type: "counter", Value: strconv.FormatUint(sc.DupPuts, 10)},
+		{Name: "mosaicd_store_quarantined_total", Help: "Corrupt store entries quarantined instead of served.", Type: "counter", Value: strconv.FormatUint(sc.Quarantined, 10)},
+		{Name: "mosaicd_store_quarantine_pruned_total", Help: "Quarantined files deleted by the per-shard retention bound.", Type: "counter", Value: strconv.FormatUint(sc.QuarantinePruned, 10)},
+	}, s.campaigns.Metrics("mosaicd_", "mosaicd_campaign_")...))
 }
 
 func formatFloat(v float64) string {

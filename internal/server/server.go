@@ -28,6 +28,7 @@ import (
 	"container/list"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"runtime"
@@ -115,14 +116,14 @@ type Server struct {
 	store    store.ResultStore
 	cacheCap int
 
-	mu          sync.Mutex
-	draining    bool
-	jobs        map[string]*job
-	cache       map[string]*job
-	lru         *list.List // of *job; done jobs only
-	seq         uint64
-	campaigns   map[string]*campaign
-	campaignSeq uint64
+	campaigns *Campaigns
+
+	mu       sync.Mutex
+	draining bool
+	jobs     map[string]*job
+	cache    map[string]*job
+	lru      *list.List // of *job; done jobs only
+	seq      uint64
 
 	drained chan struct{} // closed once the queue is drained and workers stopped
 
@@ -139,12 +140,6 @@ type Server struct {
 	cacheLRUEvictions atomic.Uint64
 	storeServes       atomic.Uint64
 	storePutErrors    atomic.Uint64
-
-	campaignsTotal      atomic.Uint64
-	campaignsActive     atomic.Int64
-	campaignCells       atomic.Uint64
-	campaignCellsCached atomic.Uint64
-	campaignCellsFailed atomic.Uint64
 }
 
 // New starts a Server: its worker pool runs until Shutdown.
@@ -172,10 +167,9 @@ func New(opt Options) *Server {
 		faults:   opt.Faults,
 		store:    opt.Store,
 		cacheCap: opt.CacheEntries,
-		jobs:      make(map[string]*job),
-		cache:     make(map[string]*job),
-		lru:       list.New(),
-		campaigns: make(map[string]*campaign),
+		jobs:     make(map[string]*job),
+		cache:    make(map[string]*job),
+		lru:      list.New(),
 		drained:  make(chan struct{}),
 		workers:  opt.Workers,
 		runSim: func(_ context.Context, cfg config.Config, wl workload.Workload, so sim.Options) (sim.Results, error) {
@@ -190,10 +184,9 @@ func New(opt Options) *Server {
 	s.mux.HandleFunc("GET /v1/runs/{id}", s.handleStatus)
 	s.mux.HandleFunc("GET /v1/runs/{id}/result", s.handleResult)
 	s.mux.HandleFunc("POST /v1/runs/{id}/cancel", s.handleCancel)
-	s.mux.HandleFunc("POST /v1/campaigns", s.handleCampaignSubmit)
-	s.mux.HandleFunc("GET /v1/campaigns/{id}", s.handleCampaignStatus)
-	s.mux.HandleFunc("GET /v1/campaigns/{id}/stream", s.handleCampaignStream)
-	s.mux.HandleFunc("POST /v1/campaigns/{id}/cancel", s.handleCampaignCancel)
+	s.campaigns = NewCampaigns("server", opt.BaseConfig, s.submitCell)
+	s.mux.HandleFunc("POST /v1/campaigns", s.campaigns.Submit)
+	s.campaigns.Route(s.mux)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 
@@ -225,10 +218,11 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // drain itself keeps going — abandoning simulations would leave
 // accepted jobs unfinished).
 func (s *Server) Shutdown(ctx context.Context) error {
+	s.campaigns.Close()
 	s.mu.Lock()
 	if !s.draining {
 		s.draining = true
-		close(s.queue) // no sends can follow: submissions check draining under mu
+		close(s.queue) // no sends can follow: admit checks draining under mu
 	}
 	s.mu.Unlock()
 	select {
@@ -239,12 +233,15 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
+// Admission errors: admit's two ways to refuse a job.
+var (
+	errDraining  = errors.New("server is draining")
+	errQueueFull = errors.New("job queue full, retry later")
+)
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req RunRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("parsing request: %v", err))
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	j, err := s.buildJob(req)
@@ -258,91 +255,95 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusTooManyRequests, fmt.Sprintf("injected queue pressure: %v", err))
 		return
 	}
-
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	}
-	if existing, ok := s.cache[j.key]; ok {
-		s.touch(existing)
-		s.mu.Unlock()
-		s.cacheHits.Add(1)
-		writeJSON(w, http.StatusOK, existing.status(true))
-		return
-	}
-	s.mu.Unlock()
-
-	// Cache miss: consult the persistent store before spending a queue
-	// slot. The lookup (possibly disk IO) runs outside s.mu, so the
-	// cache must be rechecked after — an identical racer may have won.
-	if result := s.tryStore(j); result != nil {
-		j.finish(JobDone, "", result)
-		s.mu.Lock()
-		if s.draining {
-			s.mu.Unlock()
-			writeError(w, http.StatusServiceUnavailable, "server is draining")
-			return
-		}
-		if existing, ok := s.cache[j.key]; ok {
-			s.touch(existing)
-			s.mu.Unlock()
-			s.cacheHits.Add(1)
-			writeJSON(w, http.StatusOK, existing.status(true))
-			return
-		}
-		s.seq++
-		j.id = fmt.Sprintf("r%06d", s.seq)
-		s.jobs[j.id] = j
-		s.cache[j.key] = j
-		j.lruElem = s.lru.PushFront(j)
-		s.trimLRU()
-		s.mu.Unlock()
-		s.storeServes.Add(1)
-		writeJSON(w, http.StatusOK, j.status(true))
-		return
-	}
-
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	}
-	if existing, ok := s.cache[j.key]; ok {
-		s.touch(existing)
-		s.mu.Unlock()
-		s.cacheHits.Add(1)
-		writeJSON(w, http.StatusOK, existing.status(true))
-		return
-	}
-	s.seq++
-	j.id = fmt.Sprintf("r%06d", s.seq)
-	j.start(s.opt.DefaultTimeout) // before enqueue: the dispatcher reads j.ctx
-	select {
-	case s.queue <- j:
-		s.jobs[j.id] = j
-		s.cache[j.key] = j
-		s.mu.Unlock()
-		s.cacheMisses.Add(1)
-		s.accepted.Add(1)
-		writeJSON(w, http.StatusAccepted, j.status(false))
-	default:
-		s.seq--
+	got, src, err := s.admit(j)
+	switch {
+	case errors.Is(err, errDraining):
+		writeError(w, http.StatusServiceUnavailable, err.Error())
+	case errors.Is(err, errQueueFull):
 		j.cancel()
-		s.mu.Unlock()
 		s.rejected.Add(1)
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, "job queue full, retry later")
+		writeError(w, http.StatusTooManyRequests, err.Error())
+	case src == srcSim:
+		writeJSON(w, http.StatusAccepted, got.status(false))
+	default:
+		writeJSON(w, http.StatusOK, got.status(true))
 	}
 }
 
-// touch marks a cached job as recently served. Caller holds s.mu.
-func (s *Server) touch(j *job) {
-	if j.lruElem != nil {
-		s.lru.MoveToFront(j.lruElem)
+// admit makes one non-blocking attempt to admit j, in the order cache →
+// store → queue: a cached job for the same key answers (srcCache); on a
+// job's first attempt a store hit registers j born done (srcStore);
+// otherwise j is started, if it is not yet, and enqueued (srcSim). It
+// returns errDraining or errQueueFull when it cannot admit j; a later
+// attempt (a campaign cell waiting out a full queue) skips the store,
+// which already missed.
+func (s *Server) admit(j *job) (*job, cellSource, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var stored []byte
+	if j.ctx == nil {
+		if hit, err := s.cachedLocked(j); hit != nil || err != nil {
+			return hit, srcCache, err
+		}
+		// Consult the store before spending a queue slot. The lookup
+		// (possibly disk IO) runs outside s.mu, so the cache is
+		// rechecked after — an identical racer may have won.
+		s.mu.Unlock()
+		stored = s.tryStore(j)
+		s.mu.Lock()
 	}
+	if hit, err := s.cachedLocked(j); hit != nil || err != nil {
+		return hit, srcCache, err
+	}
+	if stored != nil {
+		j.finish(JobDone, "", stored)
+		s.registerLocked(j)
+		j.lruElem = s.lru.PushFront(j)
+		s.trimLRU()
+		s.storeServes.Add(1)
+		return j, srcStore, nil
+	}
+	if j.ctx == nil {
+		j.start(s.opt.DefaultTimeout) // before enqueue: the dispatcher reads j.ctx
+	}
+	select {
+	case s.queue <- j:
+	default:
+		return nil, srcSim, errQueueFull
+	}
+	s.registerLocked(j)
+	s.cacheMisses.Add(1)
+	s.accepted.Add(1)
+	return j, srcSim, nil
+}
+
+// cachedLocked is the check every admission attempt makes under s.mu:
+// a draining server refuses, and a cached job for j's key is a hit,
+// marked recently served. It returns nil, nil when j must go on to the
+// store or the queue.
+func (s *Server) cachedLocked(j *job) (*job, error) {
+	if s.draining {
+		return nil, errDraining
+	}
+	hit, ok := s.cache[j.key]
+	if !ok {
+		return nil, nil
+	}
+	if hit.lruElem != nil {
+		s.lru.MoveToFront(hit.lruElem)
+	}
+	s.cacheHits.Add(1)
+	return hit, nil
+}
+
+// registerLocked gives an admitted job the next r%06d ID and makes it
+// its key's cache entry. Caller holds s.mu.
+func (s *Server) registerLocked(j *job) {
+	s.seq++
+	j.id = fmt.Sprintf("r%06d", s.seq)
+	s.jobs[j.id] = j
+	s.cache[j.key] = j
 }
 
 // noteDone registers a freshly completed job in the LRU hot tier (if it
@@ -472,6 +473,18 @@ func (s *Server) evict(j *job) {
 		j.lruElem = nil
 	}
 	s.mu.Unlock()
+}
+
+// decodeRequest strictly parses a JSON request body into v, answering
+// 400 itself when it cannot.
+func decodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("parsing request: %v", err))
+		return false
+	}
+	return true
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

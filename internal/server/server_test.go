@@ -396,8 +396,11 @@ func TestRemovedShardsFieldRejected(t *testing.T) {
 		})
 	}
 	s.mu.Lock()
-	jobs, campaigns := len(s.jobs), len(s.campaigns)
+	jobs := len(s.jobs)
 	s.mu.Unlock()
+	s.campaigns.mu.Lock()
+	campaigns := len(s.campaigns.byID)
+	s.campaigns.mu.Unlock()
 	if jobs != 0 || campaigns != 0 || execs.Load() != 0 {
 		t.Errorf("rejected requests left %d jobs, %d campaigns, %d executions", jobs, campaigns, execs.Load())
 	}
