@@ -46,7 +46,7 @@ func main() {
 		frag      = flag.Float64("frag", 0, "pre-fragmentation index [0,1] (§6.4 stress)")
 		fragOcc   = flag.Float64("frag-occupancy", 0.5, "pre-fragmented frame occupancy [0,1]")
 		dealloc   = flag.Float64("dealloc", 0, "fraction of a scratch buffer freed mid-run (exercises CAC)")
-		snapWarm  = flag.Uint64("snapshot-warmup", 0, "run as a two-phase plan: warm up to this cycle, quiesce, then measure (0 = single-phase; changes the config digest)")
+		snapWarm  = flag.Uint64("snapshot-warmup", 0, "run as a two-phase plan: warm up to this cycle, snapshot the engine with its in-flight work, then measure (0 = single-phase; changes the config digest)")
 		traceOut  = flag.String("trace", "", "write a JSON event trace to this file (local runs only)")
 		recordOut = flag.String("record", "", "write the runs' structured records as a JSON report to this file (see docs/RESULTS_SCHEMA.md)")
 		storeDir  = flag.String("record-store", "", "also file each run's record into the result store rooted at this directory, under the same key a mosaicd would use (local runs only; prewarms a fleet's shared store)")

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"repro/internal/event"
 	"repro/internal/vmem"
 )
 
@@ -52,9 +53,9 @@ type Cache struct {
 	tick      uint64
 	stats     Stats
 
-	// mshr maps a line address to the completion callbacks of all
-	// requests waiting on that line's fill.
-	mshr map[uint64][]func(cycle uint64)
+	// mshr maps a line address to the completion events of all requests
+	// waiting on that line's fill.
+	mshr map[uint64][]event.Event
 }
 
 // New builds a cache with the given total capacity in bytes.
@@ -79,7 +80,7 @@ func New(name string, totalBytes, lineSize, ways int) (*Cache, error) {
 		sets:      sets,
 		lineShift: uint(bits.TrailingZeros(uint(lineSize))),
 		lines:     make([]line, sets*ways),
-		mshr:      make(map[uint64][]func(uint64)),
+		mshr:      make(map[uint64][]event.Event),
 	}, nil
 }
 
@@ -93,19 +94,15 @@ func MustNew(name string, totalBytes, lineSize, ways int) *Cache {
 	return c
 }
 
-// Clone returns a deep copy of the cache's tag store, LRU state, and
-// stats. It requires the MSHRs to be empty (no outstanding misses): MSHR
-// entries hold completion closures bound to the source simulator and
-// cannot be transplanted. Callers snapshot only quiesced simulations, so a
-// non-empty MSHR table is a programming error and Clone panics.
+// Clone returns a deep copy of the cache's tag store, LRU state, stats,
+// and outstanding misses with their waiters.
 func (c *Cache) Clone() *Cache {
-	if len(c.mshr) != 0 {
-		panic(fmt.Sprintf("cache %s: Clone with %d outstanding MSHR entries", c.name, len(c.mshr)))
-	}
 	nc := *c
-	nc.lines = make([]line, len(c.lines))
-	copy(nc.lines, c.lines)
-	nc.mshr = make(map[uint64][]func(uint64))
+	nc.lines = append([]line(nil), c.lines...)
+	nc.mshr = make(map[uint64][]event.Event, len(c.mshr))
+	for la, waiters := range c.mshr {
+		nc.mshr[la] = append([]event.Event(nil), waiters...)
+	}
 	return &nc
 }
 
@@ -199,11 +196,11 @@ func (c *Cache) Invalidate(a vmem.PhysAddr) bool {
 	return false
 }
 
-// TrackMiss registers done to run when the line for a is filled. It
+// TrackMiss registers done to fire when the line for a is filled. It
 // returns true when this is the first outstanding miss for the line (the
 // caller must issue the lower-level request) and false when the miss
 // coalesced into an existing MSHR entry.
-func (c *Cache) TrackMiss(a vmem.PhysAddr, done func(cycle uint64)) (isFirst bool) {
+func (c *Cache) TrackMiss(a vmem.PhysAddr, done event.Event) (isFirst bool) {
 	la := c.LineAddr(a)
 	waiters, exists := c.mshr[la]
 	c.mshr[la] = append(waiters, done)
@@ -219,16 +216,14 @@ func (c *Cache) TrackMiss(a vmem.PhysAddr, done func(cycle uint64)) (isFirst boo
 }
 
 // CompleteMiss fills the line for a and fires every waiter registered via
-// TrackMiss, in registration order.
-func (c *Cache) CompleteMiss(a vmem.PhysAddr, cycle uint64) {
+// TrackMiss through q, immediately and in registration order.
+func (c *Cache) CompleteMiss(a vmem.PhysAddr, cycle uint64, q *event.Queue) {
 	la := c.LineAddr(a)
 	c.Fill(a)
 	waiters := c.mshr[la]
 	delete(c.mshr, la)
 	for _, w := range waiters {
-		if w != nil {
-			w(cycle)
-		}
+		q.Fire(cycle, w)
 	}
 }
 

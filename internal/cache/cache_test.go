@@ -1,9 +1,11 @@
 package cache
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/event"
 	"repro/internal/vmem"
 )
 
@@ -92,17 +94,24 @@ func TestInvalidate(t *testing.T) {
 
 func TestMSHRCoalescing(t *testing.T) {
 	c := MustNew("l2", 2<<20, 128, 16)
-	fired := []int{}
-	if !c.TrackMiss(0x1000, func(uint64) { fired = append(fired, 1) }) {
+	fired := []uint64{}
+	q := &event.Queue{}
+	q.SetHandler(func(at uint64, ev event.Event) {
+		if at != 42 {
+			t.Errorf("waiter %d fired at %d, want 42", ev.Arg, at)
+		}
+		fired = append(fired, ev.Arg)
+	})
+	if !c.TrackMiss(0x1000, event.Event{Kind: event.Complete, Arg: 1}) {
 		t.Error("first miss should be primary")
 	}
-	if c.TrackMiss(0x1010, func(uint64) { fired = append(fired, 2) }) {
+	if c.TrackMiss(0x1010, event.Event{Kind: event.Complete, Arg: 2}) {
 		t.Error("same-line miss should coalesce")
 	}
 	if c.InFlight() != 1 {
 		t.Errorf("InFlight = %d, want 1", c.InFlight())
 	}
-	c.CompleteMiss(0x1000, 42)
+	c.CompleteMiss(0x1000, 42, q)
 	if len(fired) != 2 || fired[0] != 1 || fired[1] != 2 {
 		t.Errorf("waiters fired = %v, want [1 2]", fired)
 	}
@@ -117,12 +126,31 @@ func TestMSHRCoalescing(t *testing.T) {
 	}
 }
 
+// TestCloneCopiesMSHRs: a clone completes the source's outstanding
+// misses with the same waiters, and new waiters on either copy stay
+// private to it.
+func TestCloneCopiesMSHRs(t *testing.T) {
+	c := MustNew("l2", 2<<20, 128, 16)
+	c.TrackMiss(0x1000, event.Event{Kind: event.Complete, Arg: 1})
+	cl := c.Clone()
+	c.TrackMiss(0x1000, event.Event{Kind: event.Complete, Arg: 2})
+	cl.TrackMiss(0x1000, event.Event{Kind: event.Complete, Arg: 3})
+	var fired []uint64
+	q := &event.Queue{}
+	q.SetHandler(func(_ uint64, ev event.Event) { fired = append(fired, ev.Arg) })
+	cl.CompleteMiss(0x1000, 1, q)
+	c.CompleteMiss(0x1000, 1, q)
+	if fmt.Sprint(fired) != "[1 3 1 2]" {
+		t.Errorf("waiters fired = %v, want clone [1 3] then source [1 2]", fired)
+	}
+}
+
 func TestCoalescedMissNotDoubleCounted(t *testing.T) {
 	c := MustNew("l2", 2<<20, 128, 16)
 	c.Lookup(0x1000) // miss
-	c.TrackMiss(0x1000, nil)
+	c.TrackMiss(0x1000, event.Event{})
 	c.Lookup(0x1020) // same line: counted as miss by Lookup...
-	c.TrackMiss(0x1020, nil)
+	c.TrackMiss(0x1020, event.Event{})
 	s := c.Stats()
 	// ...but reclassified as coalesced by TrackMiss.
 	if s.Misses != 1 || s.Coalesced != 1 {

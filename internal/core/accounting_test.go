@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/event"
 	"repro/internal/vmem"
 )
 
@@ -70,7 +71,7 @@ func TestBaselineFootprintIsPageGranular(t *testing.T) {
 func TestEnsureResidentUnknownApp(t *testing.T) {
 	r := newRig(t, Mosaic, nil)
 	// Unknown apps are treated as resident (no crash, no transfer).
-	if !r.sys.EnsureResident(0, 42, 0, nil) {
+	if !r.sys.EnsureResident(0, 42, 0, event.Event{}) {
 		t.Error("unknown app triggered a fault")
 	}
 }

@@ -34,7 +34,7 @@ func FuzzPolicyConfig(f *testing.F) {
 				t.Fatalf("ParsePolicy(%q) error is not typed: %v", name, err)
 			}
 			// Unknown names must also fail closed at option resolution.
-			if _, err := ResolveOptions(Policy(1 << 20), config.FastTest()); !errors.Is(err, ErrUnknownPolicy) {
+			if _, err := ResolveOptions(Policy(1<<20), config.FastTest()); !errors.Is(err, ErrUnknownPolicy) {
 				t.Fatalf("ResolveOptions on wild id is not typed: %v", err)
 			}
 			return
@@ -50,10 +50,12 @@ func FuzzPolicyConfig(f *testing.F) {
 			t.Fatalf("ResolveOptions(%v) on a registered policy: %v", p, err)
 		}
 		q := &event.Queue{}
-		sys, err := NewSystem(cfg, opt, q, iobus.New(cfg, q), dram.New(cfg, q))
+		mem := dram.New(cfg, q)
+		sys, err := NewSystem(cfg, opt, q, iobus.New(cfg, q), mem)
 		if err != nil {
 			return // typed rejection of a hostile config is a valid outcome
 		}
+		wire(q, sys, mem)
 
 		// Drive the pipeline: allocate, fault more pages than the budget
 		// holds, free a prefix, reallocate. Any panic fails the fuzz run.
@@ -76,7 +78,7 @@ func FuzzPolicyConfig(f *testing.F) {
 		}
 		now := uint64(1)
 		for pg := uint64(0); pg < pages; pg += 7 {
-			sys.EnsureResident(now, asid, vmem.VirtAddr(pg*vmem.BasePageSize), nil)
+			sys.EnsureResident(now, asid, vmem.VirtAddr(pg*vmem.BasePageSize), event.Event{})
 			now += 50
 			if pg%64 == 0 {
 				drain()

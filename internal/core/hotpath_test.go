@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/event"
 	"repro/internal/vmem"
 )
 
@@ -23,7 +24,7 @@ func pagedRig(t *testing.T) *testRig {
 	}
 	now := uint64(1)
 	for i := uint64(0); i < 8; i++ {
-		r.sys.EnsureResident(now, 1, vmem.VirtAddr(i*vmem.LargePageSize), nil)
+		r.sys.EnsureResident(now, 1, vmem.VirtAddr(i*vmem.LargePageSize), event.Event{})
 		now += 1000
 		r.drain()
 	}
@@ -73,11 +74,11 @@ func TestPagerResidentHitAllocFree(t *testing.T) {
 		t.Fatal("warm pager has no victim")
 	}
 	va := e.VA()
-	if !s.EnsureResident(1<<20, 1, va, nil) {
+	if !s.EnsureResident(1<<20, 1, va, event.Event{}) {
 		t.Fatal("victim entry not resident")
 	}
 	if avg := testing.AllocsPerRun(200, func() {
-		if !s.EnsureResident(1<<20, 1, va, nil) {
+		if !s.EnsureResident(1<<20, 1, va, event.Event{}) {
 			t.Fatal("page fell out of residency during warm loop")
 		}
 	}); avg != 0 {

@@ -1,8 +1,7 @@
 package core
 
 import (
-	"fmt"
-
+	"repro/internal/event"
 	"repro/internal/trace"
 	"repro/internal/vmem"
 )
@@ -63,7 +62,7 @@ type PageEntry struct {
 	// transfer was still in flight; the completion must not resurrect
 	// them (their budget was already released).
 	freed   bool
-	waiters []func(uint64)
+	waiters []event.Event
 	// Intrusive residency-queue links (only meaningful while resident).
 	prev, next *PageEntry
 }
@@ -109,6 +108,13 @@ type pager struct {
 	regions map[uint64]*pageRegion
 	// queued is the FIFO admission queue of faults waiting for capacity.
 	queued []*PageEntry
+	// pageIns holds the entries whose page-in transfer is on the bus, and
+	// writeBacks the victim groups whose write-back is, each in issue
+	// order. Every page-in of one pager has the same size, and the bus
+	// finishes write-backs in issue order, so each PageIn or PageOut
+	// event completes the oldest entry of its queue.
+	pageIns    []*PageEntry
+	writeBacks [][]*PageEntry
 	// res orders resident entries for victim selection (the policy's
 	// ResidencyPolicy; LRU by default).
 	res ResidencyPolicy
@@ -151,38 +157,54 @@ func (p *pager) insert(e *PageEntry) {
 	r.live++
 }
 
-// clone deep-copies the pager for a forked manager ns. It requires the
-// pager to be quiescent — an empty admission queue and no entries in the
-// queued/pending-in/pending-out states, since transfers in flight hold
-// waiter closures bound to the source simulator — and panics otherwise.
-// Entries are duplicated into a rebuilt table and the residency policy
-// is cloned over the copies in the exact victim order of the source, so
-// the fork's next eviction picks the same victim the source would have.
+// clone deep-copies the pager for a forked manager ns. Every entry —
+// in the table, the admission queue, or a transfer in flight, freed or
+// not — is duplicated once with its waiters, so an entry reachable from
+// several places stays one entry in the copy. The residency policy is
+// cloned over the copies in the exact victim order of the source, so the
+// fork's next eviction picks the same victim the source would have.
 func (p *pager) clone(ns *System) *pager {
-	if len(p.queued) != 0 {
-		panic(fmt.Sprintf("core: pager clone with %d queued faults", len(p.queued)))
+	copies := make(map[*PageEntry]*PageEntry)
+	cp := func(e *PageEntry) *PageEntry {
+		if n, ok := copies[e]; ok {
+			return n
+		}
+		n := &PageEntry{
+			asid: e.asid, key: e.key, va: e.va, state: e.state,
+			dirty: e.dirty, pages: e.pages, evicted: e.evicted, freed: e.freed,
+			waiters: append([]event.Event(nil), e.waiters...),
+		}
+		copies[e] = n
+		return n
+	}
+	cpAll := func(es []*PageEntry) []*PageEntry {
+		out := make([]*PageEntry, len(es))
+		for i, e := range es {
+			out[i] = cp(e)
+		}
+		return out
 	}
 	np := &pager{
 		s:       ns,
 		budget:  p.budget,
 		used:    p.used,
 		regions: make(map[uint64]*pageRegion, len(p.regions)),
+		queued:  cpAll(p.queued),
+		pageIns: cpAll(p.pageIns),
 	}
-	for _, r := range p.regions {
-		for _, e := range r.slots {
-			if e == nil {
-				continue
+	for _, g := range p.writeBacks {
+		np.writeBacks = append(np.writeBacks, cpAll(g))
+	}
+	for rk, r := range p.regions {
+		nr := &pageRegion{live: r.live}
+		for i, e := range r.slots {
+			if e != nil {
+				nr.slots[i] = cp(e)
 			}
-			if e.state != pageResident && e.state != pageRemote || len(e.waiters) != 0 {
-				panic(fmt.Sprintf("core: pager clone with entry in transient state %d (%d waiters)", e.state, len(e.waiters)))
-			}
-			np.insert(&PageEntry{
-				asid: e.asid, key: e.key, va: e.va, state: e.state,
-				dirty: e.dirty, pages: e.pages, evicted: e.evicted, freed: e.freed,
-			})
 		}
+		np.regions[rk] = nr
 	}
-	np.res = p.res.Clone(func(e *PageEntry) *PageEntry { return np.entry(e.asid, e.key) })
+	np.res = p.res.Clone(cp)
 	return np
 }
 
@@ -196,9 +218,9 @@ func pageDirty(asid vmem.ASID, key uint64) bool {
 }
 
 // ensureResident is the bounded-residency fault path, mirroring
-// System.EnsureResident's contract: true means already resident (done is
-// not called), false means done fires when the page lands.
-func (p *pager) ensureResident(now uint64, asid vmem.ASID, va vmem.VirtAddr, done func(cycle uint64)) bool {
+// System.EnsureResident's contract: true means already resident (done
+// does not fire), false means done fires when the page lands.
+func (p *pager) ensureResident(now uint64, asid vmem.ASID, va vmem.VirtAddr, done event.Event) bool {
 	s := p.s
 	key := s.faultKey(va)
 	e := p.entry(asid, key)
@@ -260,27 +282,32 @@ func (p *pager) issue(now uint64, e *PageEntry) {
 	if s.fill.LargeFill() {
 		size = vmem.Large
 	}
-	fin := s.bus.Transfer(now, size, func(cycle uint64) {
-		waiters := e.waiters
-		e.waiters = nil
-		if !e.freed {
-			e.state = pageResident
-			e.dirty = pageDirty(e.asid, e.key)
-			p.res.Insert(e)
-		}
-		// The landed page is evictable, so capacity may now exist for
-		// faults the admission queue was holding back.
-		p.admit(cycle)
-		for _, w := range waiters {
-			if w != nil {
-				w(cycle)
-			}
-		}
-	})
+	p.pageIns = append(p.pageIns, e)
+	fin := s.bus.Transfer(now, size, event.Event{Kind: event.PageIn})
 	s.trace.Record(trace.Event{
 		Cycle: now, Kind: trace.EvFarFault, ASID: e.asid,
 		VA: e.va, Size: size.Bytes(), Latency: fin - now,
 	})
+}
+
+// pageIn lands the oldest in-flight page-in and wakes its waiters.
+func (p *pager) pageIn(cycle uint64) {
+	e := p.pageIns[0]
+	p.pageIns[0] = nil
+	p.pageIns = p.pageIns[1:]
+	waiters := e.waiters
+	e.waiters = nil
+	if !e.freed {
+		e.state = pageResident
+		e.dirty = pageDirty(e.asid, e.key)
+		p.res.Insert(e)
+	}
+	// The landed page is evictable, so capacity may now exist for
+	// faults the admission queue was holding back.
+	p.admit(cycle)
+	for _, w := range waiters {
+		p.s.q.Fire(cycle, w)
+	}
 }
 
 // admit drains the fault queue in FIFO order for as long as capacity can
@@ -296,9 +323,7 @@ func (p *pager) admit(now uint64) {
 			waiters := e.waiters
 			e.waiters = nil
 			for _, w := range waiters {
-				if w != nil {
-					w(now)
-				}
+				p.s.q.Fire(now, w)
 			}
 			continue
 		}
@@ -371,16 +396,24 @@ func (p *pager) evict(now uint64, victim *PageEntry) {
 		for _, e := range group {
 			e.state = pagePendingOut
 		}
-		s.bus.WriteBack(now, size, func(uint64) {
-			for _, e := range group {
-				if e.state == pagePendingOut {
-					e.state = pageRemote
-				}
-			}
-		})
+		p.writeBacks = append(p.writeBacks, group)
+		s.bus.WriteBack(now, size, event.Event{Kind: event.PageOut})
 	} else {
 		s.stats.CleanDrops++
 		for _, e := range group {
+			e.state = pageRemote
+		}
+	}
+}
+
+// pageOut retires the oldest in-flight write-back: its pages are now on
+// the host.
+func (p *pager) pageOut() {
+	group := p.writeBacks[0]
+	p.writeBacks[0] = nil
+	p.writeBacks = p.writeBacks[1:]
+	for _, e := range group {
+		if e.state == pagePendingOut {
 			e.state = pageRemote
 		}
 	}

@@ -47,7 +47,7 @@ func TestPagerEvictsLRUBasePages(t *testing.T) {
 
 	// Fault exactly the budget: no eviction.
 	for i := uint64(0); i < budget; i++ {
-		r.sys.EnsureResident(0, 1, vmem.VirtAddr(i*vmem.BasePageSize), nil)
+		r.sys.EnsureResident(0, 1, vmem.VirtAddr(i*vmem.BasePageSize), event.Event{})
 	}
 	r.drain()
 	if s := r.sys.Stats(); s.Evictions != 0 {
@@ -61,7 +61,7 @@ func TestPagerEvictsLRUBasePages(t *testing.T) {
 	}
 
 	// One past the budget: the least-recently-used page (the first) goes.
-	r.sys.EnsureResident(0, 1, vmem.VirtAddr(budget*vmem.BasePageSize), nil)
+	r.sys.EnsureResident(0, 1, vmem.VirtAddr(budget*vmem.BasePageSize), event.Event{})
 	r.drain()
 	s := r.sys.Stats()
 	if s.Evictions != 1 || s.EvictedPages != 1 {
@@ -80,10 +80,10 @@ func TestPagerEvictsLRUBasePages(t *testing.T) {
 
 	// Touching a page moves it off the LRU tail: re-touch the now-oldest
 	// page (page 1), fault another new one, and page 2 must be the victim.
-	if !r.sys.EnsureResident(100, 1, vmem.BasePageSize, nil) {
+	if !r.sys.EnsureResident(100, 1, vmem.BasePageSize, event.Event{}) {
 		t.Fatal("touch of resident page should not fault")
 	}
-	r.sys.EnsureResident(100, 1, vmem.VirtAddr((budget+1)*vmem.BasePageSize), nil)
+	r.sys.EnsureResident(100, 1, vmem.VirtAddr((budget+1)*vmem.BasePageSize), event.Event{})
 	r.drain()
 	if !r.sys.IsResident(1, vmem.BasePageSize) {
 		t.Error("recently touched page evicted (not LRU order)")
@@ -99,16 +99,16 @@ func TestPagerRefaultCountsAndCompletes(t *testing.T) {
 	r := newPagedRig(t, GPUMMU4K, budget)
 	r.sys.RegisterApp(1)
 	for i := uint64(0); i < budget; i++ {
-		r.sys.EnsureResident(0, 1, vmem.VirtAddr(i*vmem.BasePageSize), nil)
+		r.sys.EnsureResident(0, 1, vmem.VirtAddr(i*vmem.BasePageSize), event.Event{})
 	}
 	r.drain()
-	r.sys.EnsureResident(0, 1, vmem.VirtAddr(budget*vmem.BasePageSize), nil) // evicts page 0
+	r.sys.EnsureResident(0, 1, vmem.VirtAddr(budget*vmem.BasePageSize), event.Event{}) // evicts page 0
 	r.drain()
 	if r.sys.Stats().Refaults != 0 {
 		t.Fatal("refault counted before any re-touch")
 	}
 	var doneAt uint64
-	if r.sys.EnsureResident(1000, 1, 0, func(c uint64) { doneAt = c }) {
+	if r.sys.EnsureResident(1000, 1, 0, on(func(c uint64) { doneAt = c })) {
 		t.Fatal("evicted page claimed resident")
 	}
 	r.drain()
@@ -132,11 +132,11 @@ func TestPagerDirtyWriteBackAndCleanDropBothOccur(t *testing.T) {
 	r := newPagedRig(t, GPUMMU4K, budget)
 	r.sys.RegisterApp(1)
 	for i := uint64(0); i < budget; i++ {
-		r.sys.EnsureResident(0, 1, vmem.VirtAddr(i*vmem.BasePageSize), nil)
+		r.sys.EnsureResident(0, 1, vmem.VirtAddr(i*vmem.BasePageSize), event.Event{})
 	}
 	r.drain()
 	for i := uint64(0); i < 64; i++ {
-		r.sys.EnsureResident(1, 1, vmem.VirtAddr((budget+i)*vmem.BasePageSize), nil)
+		r.sys.EnsureResident(1, 1, vmem.VirtAddr((budget+i)*vmem.BasePageSize), event.Event{})
 	}
 	r.drain()
 	s := r.sys.Stats()
@@ -160,12 +160,12 @@ func TestPagerLargeGranularityEviction(t *testing.T) {
 	// thrash amplification of §3.2.
 	r := newPagedRig(t, GPUMMU2M, 512)
 	r.sys.RegisterApp(1)
-	r.sys.EnsureResident(0, 1, 0, nil)
+	r.sys.EnsureResident(0, 1, 0, event.Event{})
 	r.drain()
 	if got := r.sys.ResidentPages(); got != 512 {
 		t.Fatalf("ResidentPages = %d after one 2MB fault, want 512", got)
 	}
-	r.sys.EnsureResident(0, 1, vmem.LargePageSize, nil)
+	r.sys.EnsureResident(0, 1, vmem.LargePageSize, event.Event{})
 	r.drain()
 	s := r.sys.Stats()
 	if s.Evictions != 1 || s.EvictedPages != 512 {
@@ -194,7 +194,7 @@ func TestPagerMosaicEvictsWholeCoalescedFrame(t *testing.T) {
 		t.Fatal("region did not coalesce")
 	}
 	for i := uint64(0); i < 512; i++ {
-		r.sys.EnsureResident(0, 1, vmem.VirtAddr(i*vmem.BasePageSize), nil)
+		r.sys.EnsureResident(0, 1, vmem.VirtAddr(i*vmem.BasePageSize), event.Event{})
 	}
 	r.drain()
 	if got := r.sys.ResidentPages(); got != 512 {
@@ -206,7 +206,7 @@ func TestPagerMosaicEvictsWholeCoalescedFrame(t *testing.T) {
 	if err := r.sys.AllocVirtual(0, 1, vmem.VirtAddr(8<<21), 64<<10); err != nil {
 		t.Fatal(err)
 	}
-	r.sys.EnsureResident(0, 1, vmem.VirtAddr(8<<21), nil)
+	r.sys.EnsureResident(0, 1, vmem.VirtAddr(8<<21), event.Event{})
 	r.drain()
 	s := r.sys.Stats()
 	if s.Evictions != 1 || s.EvictedPages != 512 {
@@ -227,7 +227,7 @@ func TestPagerMosaicEvictsWholeCoalescedFrame(t *testing.T) {
 		t.Error("evicted frame pages still resident")
 	}
 	// Pages come back at base granularity, counted as refaults.
-	r.sys.EnsureResident(0, 1, 0, nil)
+	r.sys.EnsureResident(0, 1, 0, event.Event{})
 	r.drain()
 	s = r.sys.Stats()
 	if s.Refaults != 1 {
@@ -247,10 +247,10 @@ func TestPagerMosaicUncoalescedEvictsSinglePages(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := uint64(0); i < 512; i++ {
-		r.sys.EnsureResident(0, 1, vmem.VirtAddr((i%256)*vmem.BasePageSize+(i/256)<<30), nil)
+		r.sys.EnsureResident(0, 1, vmem.VirtAddr((i%256)*vmem.BasePageSize+(i/256)<<30), event.Event{})
 	}
 	r.drain()
-	r.sys.EnsureResident(0, 1, vmem.VirtAddr(3<<30), nil)
+	r.sys.EnsureResident(0, 1, vmem.VirtAddr(3<<30), event.Event{})
 	r.drain()
 	s := r.sys.Stats()
 	if s.Evictions == 0 {
@@ -267,8 +267,8 @@ func TestPagerCoalescesConcurrentFaults(t *testing.T) {
 	r := newPagedRig(t, GPUMMU4K, 512)
 	r.sys.RegisterApp(1)
 	first, second := false, false
-	r.sys.EnsureResident(0, 1, 0x100, func(uint64) { first = true })
-	r.sys.EnsureResident(0, 1, 0x200, func(uint64) { second = true })
+	r.sys.EnsureResident(0, 1, 0x100, on(func(uint64) { first = true }))
+	r.sys.EnsureResident(0, 1, 0x200, on(func(uint64) { second = true }))
 	if s := r.sys.Stats(); s.FarFaults != 1 || s.CoalescedFaults != 1 {
 		t.Fatalf("fault stats = %+v, want one transfer + one coalesced", s)
 	}
@@ -288,7 +288,7 @@ func TestPagerAdmissionQueueBoundsResidency(t *testing.T) {
 	r.sys.RegisterApp(1)
 	fired := 0
 	for i := uint64(0); i < 2*budget; i++ {
-		r.sys.EnsureResident(0, 1, vmem.VirtAddr(i*vmem.BasePageSize), func(uint64) { fired++ })
+		r.sys.EnsureResident(0, 1, vmem.VirtAddr(i*vmem.BasePageSize), on(func(uint64) { fired++ }))
 	}
 	if got := r.sys.ResidentPages(); got > budget {
 		t.Fatalf("committed %d pages at burst time, budget %d", got, budget)
@@ -322,7 +322,7 @@ func TestPagerAdmissionQueueDischargesFreedFaults(t *testing.T) {
 	}
 	fired := 0
 	for i := uint64(0); i < 2*budget; i++ {
-		r.sys.EnsureResident(0, 1, vmem.VirtAddr(i*vmem.BasePageSize), func(uint64) { fired++ })
+		r.sys.EnsureResident(0, 1, vmem.VirtAddr(i*vmem.BasePageSize), on(func(uint64) { fired++ }))
 	}
 	if err := r.sys.FreeVirtual(1, 1, 0, (2*budget)*vmem.BasePageSize); err != nil {
 		t.Fatal(err)
@@ -343,7 +343,7 @@ func TestPagerReleasesBudgetOnFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := uint64(0); i < 64; i++ {
-		r.sys.EnsureResident(0, 1, vmem.VirtAddr(i*vmem.BasePageSize), nil)
+		r.sys.EnsureResident(0, 1, vmem.VirtAddr(i*vmem.BasePageSize), event.Event{})
 	}
 	r.drain()
 	if got := r.sys.ResidentPages(); got != 64 {
@@ -451,7 +451,7 @@ func TestPagerRegionIndexTracksSiblings(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := uint64(0); i < vmem.BasePagesPerLarge; i++ {
-		sys.EnsureResident(0, 1, vmem.VirtAddr(i*vmem.BasePageSize), nil)
+		sys.EnsureResident(0, 1, vmem.VirtAddr(i*vmem.BasePageSize), event.Event{})
 	}
 	r.drain()
 	// Free pages 10..19; the region stays coalesced (parked, not splintered).
@@ -474,7 +474,7 @@ func TestPagerRegionIndexTracksSiblings(t *testing.T) {
 
 	// Refault pages 100..149, free 120..124 among them, then fork.
 	for k := uint64(100); k < 150; k++ {
-		sys.EnsureResident(2, 1, vmem.VirtAddr(k*vmem.BasePageSize), nil)
+		sys.EnsureResident(2, 1, vmem.VirtAddr(k*vmem.BasePageSize), event.Event{})
 	}
 	r.drain()
 	if got := sys.Stats().Refaults; got != 50 {
@@ -532,7 +532,7 @@ func TestPagerRegionTableDropsEmptiedRegions(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, va := range []vmem.VirtAddr{0, 5 * vmem.BasePageSize, vmem.LargePageSize} {
-			r.sys.EnsureResident(0, 1, va, nil)
+			r.sys.EnsureResident(0, 1, va, event.Event{})
 		}
 		r.drain()
 		if n := len(r.sys.pager.regions); n != 2 {

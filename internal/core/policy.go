@@ -220,7 +220,7 @@ type narrowCost struct{}
 
 // CopyPage implements CostModel.
 func (narrowCost) CopyPage(now uint64, mem *dram.DRAM, src, dst vmem.PhysAddr) (uint64, bool) {
-	return mem.CopyPageNarrow(now, src, dst, nil), false
+	return mem.CopyPageNarrow(now, src, dst), false
 }
 
 // Stalls implements CostModel.
@@ -232,10 +232,10 @@ type bulkCost struct{}
 
 // CopyPage implements CostModel.
 func (bulkCost) CopyPage(now uint64, mem *dram.DRAM, src, dst vmem.PhysAddr) (uint64, bool) {
-	if fin, err := mem.CopyPageBulk(now, src, dst, nil); err == nil {
+	if fin, err := mem.CopyPageBulk(now, src, dst); err == nil {
 		return fin, true
 	}
-	return mem.CopyPageNarrow(now, src, dst, nil), false
+	return mem.CopyPageNarrow(now, src, dst), false
 }
 
 // Stalls implements CostModel.

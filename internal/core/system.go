@@ -57,7 +57,7 @@ func (s Stats) CoalesceSuccessRate() float64 {
 type appState struct {
 	table     *pagetable.PageTable
 	resident  map[uint64]bool
-	pending   map[uint64][]func(uint64)
+	pending   map[uint64][]event.Event // fault key -> waiters of its transfer
 	liveBytes uint64
 	// pagesPerFrame counts this app's mapped base pages per large frame,
 	// for footprint/bloat accounting.
@@ -174,16 +174,13 @@ func NewSystem(cfg config.Config, opt Options, q *event.Queue, bus *iobus.Bus, m
 }
 
 // Clone returns a deep copy of the manager for a forked simulator, wired
-// to the fork's event queue, I/O bus, and DRAM model. It requires the
-// manager to be quiescent: no pending fault transfers (unbounded path) and
-// no queued, in-flight, or draining pager entries (bounded path), since
-// all of those hold completion closures bound to the source; Clone panics
-// otherwise. Frame pool, allocator free lists (in order), page tables
-// (with node addresses preserved), residency sets, pager LRU recency, and
-// all counters are duplicated so the fork continues bit-for-bit where the
-// source stopped. The clone starts with no trace recorder and no-op flush
-// hooks — the forked simulator must rebind both (SetTrace, SetFlushHooks)
-// before running.
+// to the fork's event queue, I/O bus, and DRAM model. Frame pool,
+// allocator free lists (in order), page tables (with node addresses
+// preserved), residency sets, pending fault transfers with their waiters,
+// the pager's queues and LRU recency, and all counters are duplicated so
+// the fork continues bit-for-bit where the source stopped. The clone
+// starts with no trace recorder and no-op flush hooks — the forked
+// simulator must rebind both (SetTrace, SetFlushHooks) before running.
 func (s *System) Clone(q *event.Queue, bus *iobus.Bus, mem *dram.DRAM) *System {
 	ns := &System{
 		cfg:             s.cfg,
@@ -222,13 +219,10 @@ func (s *System) Clone(q *event.Queue, bus *iobus.Bus, mem *dram.DRAM) *System {
 		ns.onEmerg[k] = true
 	}
 	for asid, a := range s.apps {
-		if len(a.pending) != 0 {
-			panic(fmt.Sprintf("core: Clone with %d pending fault transfers for ASID %d", len(a.pending), asid))
-		}
 		na := &appState{
 			table:         a.table.Clone(ns.allocPTNode),
 			resident:      make(map[uint64]bool, len(a.resident)),
-			pending:       make(map[uint64][]func(uint64)),
+			pending:       make(map[uint64][]event.Event, len(a.pending)),
 			liveBytes:     a.liveBytes,
 			pagesPerFrame: make(map[int]int, len(a.pagesPerFrame)),
 		}
@@ -237,6 +231,9 @@ func (s *System) Clone(q *event.Queue, bus *iobus.Bus, mem *dram.DRAM) *System {
 		}
 		for k, v := range a.pagesPerFrame {
 			na.pagesPerFrame[k] = v
+		}
+		for k, waiters := range a.pending {
+			na.pending[k] = append([]event.Event(nil), waiters...)
 		}
 		ns.apps[asid] = na
 	}
@@ -313,7 +310,7 @@ func (s *System) RegisterApp(asid vmem.ASID) error {
 	s.apps[asid] = &appState{
 		table:         pagetable.New(asid, s.allocPTNode),
 		resident:      make(map[uint64]bool),
-		pending:       make(map[uint64][]func(uint64)),
+		pending:       make(map[uint64][]event.Event),
 		pagesPerFrame: make(map[int]int),
 	}
 	return nil
@@ -505,7 +502,7 @@ func (s *System) migrateCoalesceCost(now uint64) {
 	last := now
 	for i := 0; i < vmem.BasePagesPerLarge; i++ {
 		pa := vmem.PhysAddr(i * vmem.BasePageSize)
-		if fin := s.mem.CopyPageNarrow(now, pa, pa, nil); fin > last {
+		if fin := s.mem.CopyPageNarrow(now, pa, pa); fin > last {
 			last = fin
 		}
 	}
@@ -544,9 +541,9 @@ func (s *System) IsResident(asid vmem.ASID, va vmem.VirtAddr) bool {
 
 // EnsureResident triggers a far-fault for va's page if its data is not
 // yet in GPU memory. It returns true when the page is already resident
-// (done is not called); otherwise done fires when the I/O bus transfer
+// (done does not fire); otherwise done fires when the I/O bus transfer
 // completes. Concurrent faults for one page coalesce into one transfer.
-func (s *System) EnsureResident(now uint64, asid vmem.ASID, va vmem.VirtAddr, done func(cycle uint64)) bool {
+func (s *System) EnsureResident(now uint64, asid vmem.ASID, va vmem.VirtAddr, done event.Event) bool {
 	if !s.cfg.IOBusEnabled {
 		return true
 	}
@@ -566,27 +563,38 @@ func (s *System) EnsureResident(now uint64, asid vmem.ASID, va vmem.VirtAddr, do
 		s.stats.CoalescedFaults++
 		return false
 	}
-	a.pending[key] = []func(uint64){done}
+	a.pending[key] = []event.Event{done}
 	s.stats.FarFaults++
 	size := vmem.Base
 	if s.fill.LargeFill() {
 		size = vmem.Large
 	}
-	fin := s.bus.Transfer(now, size, func(cycle uint64) {
-		a.resident[key] = true
-		waiters := a.pending[key]
-		delete(a.pending, key)
-		for _, w := range waiters {
-			if w != nil {
-				w(cycle)
-			}
-		}
-	})
+	fin := s.bus.Transfer(now, size, event.Event{Kind: event.FaultLanded, Unit: uint32(asid), Arg: key})
 	s.trace.Record(trace.Event{
 		Cycle: now, Kind: trace.EvFarFault, ASID: asid,
 		VA: va.BasePageBase(), Size: size.Bytes(), Latency: fin - now,
 	})
 	return false
+}
+
+// Handle runs the manager's own events: a landed fault transfer
+// (FaultLanded) and the pager's page-in and write-back completions
+// (PageIn, PageOut).
+func (s *System) Handle(cycle uint64, ev event.Event) {
+	switch ev.Kind {
+	case event.FaultLanded:
+		a, key := s.apps[vmem.ASID(ev.Unit)], ev.Arg
+		a.resident[key] = true
+		waiters := a.pending[key]
+		delete(a.pending, key)
+		for _, w := range waiters {
+			s.q.Fire(cycle, w)
+		}
+	case event.PageIn:
+		s.pager.pageIn(cycle)
+	case event.PageOut:
+		s.pager.pageOut()
+	}
 }
 
 // ---- deallocation & CAC ----

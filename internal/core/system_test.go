@@ -32,7 +32,36 @@ func newRig(t *testing.T, policy Policy, mutate func(*config.Config, *Options)) 
 	if err != nil {
 		t.Fatal(err)
 	}
+	wire(q, sys, mem)
 	return &testRig{q: q, sys: sys, cfg: cfg}
+}
+
+// wire routes q's events: DRAM and manager kinds to their components,
+// testDone to the registered callback.
+func wire(q *event.Queue, sys *System, mem *dram.DRAM) {
+	q.SetHandler(func(c uint64, ev event.Event) {
+		switch ev.Kind {
+		case event.DRAMDispatch:
+			mem.Dispatch(int(ev.Unit), c)
+		case event.DRAMRetry:
+			mem.Retry(int(ev.Unit), int(ev.Arg), c)
+		case event.FaultLanded, event.PageIn, event.PageOut:
+			sys.Handle(c, ev)
+		case testDone:
+			callbacks[ev.Arg](c)
+		}
+	})
+}
+
+// testDone is a kind no component handles: it runs callbacks[Arg].
+const testDone event.Kind = 255
+
+var callbacks []func(uint64)
+
+// on registers fn as a fault's completion.
+func on(fn func(uint64)) event.Event {
+	callbacks = append(callbacks, fn)
+	return event.Event{Kind: testDone, Arg: uint64(len(callbacks) - 1)}
 }
 
 func (r *testRig) drain() {
@@ -156,12 +185,12 @@ func TestDemandPagingFarFault(t *testing.T) {
 		t.Fatal("page resident before first touch")
 	}
 	var faultDone uint64
-	if resident := r.sys.EnsureResident(0, 1, 0x100, func(c uint64) { faultDone = c }); resident {
+	if resident := r.sys.EnsureResident(0, 1, 0x100, on(func(c uint64) { faultDone = c })); resident {
 		t.Fatal("EnsureResident claimed residency")
 	}
 	// Concurrent fault on the same page coalesces.
 	coalesced := false
-	r.sys.EnsureResident(0, 1, 0x200, func(uint64) { coalesced = true })
+	r.sys.EnsureResident(0, 1, 0x200, on(func(uint64) { coalesced = true }))
 	r.drain()
 	if faultDone != r.cfg.IOBaseFaultCycles {
 		t.Errorf("fault done at %d, want %d (4KB transfer)", faultDone, r.cfg.IOBaseFaultCycles)
@@ -188,7 +217,7 @@ func TestLargeFaultGranularity(t *testing.T) {
 	r.sys.RegisterApp(1)
 	r.sys.AllocVirtual(0, 1, 0, 2<<20)
 	var faultDone uint64
-	r.sys.EnsureResident(0, 1, 0, func(c uint64) { faultDone = c })
+	r.sys.EnsureResident(0, 1, 0, on(func(c uint64) { faultDone = c }))
 	r.drain()
 	if faultDone != r.cfg.IOLargeFaultCycles {
 		t.Errorf("fault done at %d, want %d (2MB transfer)", faultDone, r.cfg.IOLargeFaultCycles)
@@ -206,7 +235,7 @@ func TestNoDemandPagingConfig(t *testing.T) {
 	if !r.sys.IsResident(1, 0) {
 		t.Error("page not resident with paging disabled")
 	}
-	if !r.sys.EnsureResident(0, 1, 0, nil) {
+	if !r.sys.EnsureResident(0, 1, 0, event.Event{}) {
 		t.Error("EnsureResident should be a no-op with paging disabled")
 	}
 	if r.sys.Stats().FarFaults != 0 {

@@ -3,7 +3,7 @@
 // request scheduler per channel, and the in-DRAM bulk-copy primitive
 // (RowClone/LISA) that the CAC-BC compaction variant exploits.
 //
-// The model is event-driven: requests enqueue with a completion callback,
+// The model is event-driven: requests enqueue with a completion event,
 // the per-channel scheduler dispatches them to free banks preferring
 // row-buffer hits over older requests (first-ready, first-come
 // first-served), and the channel data bus serializes transfers.
@@ -22,8 +22,8 @@ const noOpenRow = ^uint64(0)
 // Request is one memory access presented to DRAM.
 type Request struct {
 	Addr vmem.PhysAddr
-	// Done is invoked at the cycle the data burst completes. It may be nil.
-	Done func(cycle uint64)
+	// Done fires at the cycle the data burst completes.
+	Done event.Event
 
 	enqueued uint64
 	bank     int
@@ -63,7 +63,7 @@ type bank struct {
 
 type channel struct {
 	banks   []bank
-	queue   []*Request
+	queue   []Request
 	busFree uint64
 }
 
@@ -97,27 +97,18 @@ func New(cfg config.Config, q *event.Queue) *DRAM {
 func (d *DRAM) Stats() Stats { return d.stats }
 
 // Clone returns a deep copy of the DRAM model wired to q (a forked
-// simulator's event queue). It requires the memory system to be quiescent:
-// no queued requests and no pending dispatch retries, since both hold
-// closures bound to the source simulator. Open-row state, bus-free times,
-// and stats (including the per-channel access counts) are duplicated so
-// the clone's timing picks up exactly where the source's left off. Clone
-// panics if the model is not quiescent; callers drain first.
+// simulator's event queue): queued requests, open rows, pending-retry
+// flags, bus-free times, and stats (including the per-channel access
+// counts), so the clone's timing picks up exactly where the source's left
+// off. The events already scheduled for this model travel with q.
 func (d *DRAM) Clone(q *event.Queue) *DRAM {
 	nd := &DRAM{cfg: d.cfg, q: q, channels: make([]channel, len(d.channels))}
 	for i := range d.channels {
 		ch := &d.channels[i]
-		if len(ch.queue) != 0 {
-			panic(fmt.Sprintf("dram: Clone with %d queued requests on channel %d", len(ch.queue), i))
-		}
-		nch := &nd.channels[i]
-		nch.busFree = ch.busFree
-		nch.banks = make([]bank, len(ch.banks))
-		copy(nch.banks, ch.banks)
-		for b := range ch.banks {
-			if ch.banks[b].retryQueued {
-				panic(fmt.Sprintf("dram: Clone with retry pending on channel %d bank %d", i, b))
-			}
+		nd.channels[i] = channel{
+			banks:   append([]bank(nil), ch.banks...),
+			queue:   append([]Request(nil), ch.queue...),
+			busFree: ch.busFree,
 		}
 	}
 	nd.stats = d.stats
@@ -162,25 +153,32 @@ func (d *DRAM) decompose(addr vmem.PhysAddr) (chanIdx, bankIdx int, row uint64) 
 	return
 }
 
-// Enqueue submits a read/write access. The Done callback fires when the
-// data burst finishes on the channel bus.
+// Enqueue submits a read/write access. r.Done fires when the data burst
+// finishes on the channel bus.
 func (d *DRAM) Enqueue(now uint64, r Request) {
 	chanIdx, bankIdx, row := d.decompose(r.Addr)
 	r.enqueued = now
 	r.bank = bankIdx
 	r.row = row
 	ch := &d.channels[chanIdx]
-	ch.queue = append(ch.queue, &r)
+	ch.queue = append(ch.queue, r)
 	if len(ch.queue) > d.stats.MaxQueueLen {
 		d.stats.MaxQueueLen = len(ch.queue)
 	}
-	d.dispatch(chanIdx, now)
+	d.Dispatch(chanIdx, now)
 }
 
-// dispatch applies FR-FCFS on one channel: for every bank that is free,
+// Retry handles a DRAMRetry event: bank bankIdx of channel chanIdx has
+// freed, so its pending-retry flag clears and the channel dispatches.
+func (d *DRAM) Retry(chanIdx, bankIdx int, now uint64) {
+	d.channels[chanIdx].banks[bankIdx].retryQueued = false
+	d.Dispatch(chanIdx, now)
+}
+
+// Dispatch applies FR-FCFS on one channel: for every bank that is free,
 // pick the oldest row-hit request for that bank if one exists, otherwise
-// the oldest request for that bank.
-func (d *DRAM) dispatch(chanIdx int, now uint64) {
+// the oldest request for that bank. DRAMDispatch events run it.
+func (d *DRAM) Dispatch(chanIdx int, now uint64) {
 	ch := &d.channels[chanIdx]
 	for bankIdx := range ch.banks {
 		b := &ch.banks[bankIdx]
@@ -188,48 +186,47 @@ func (d *DRAM) dispatch(chanIdx int, now uint64) {
 			// Retry once the bank frees, if it has queued work.
 			if !b.retryQueued && d.hasWork(ch, bankIdx) {
 				b.retryQueued = true
-				at, ci, bp := b.busyUntil, chanIdx, b
-				d.q.Schedule(at, func(cycle uint64) {
-					bp.retryQueued = false
-					d.dispatch(ci, cycle)
-				})
+				d.q.Schedule(b.busyUntil, event.Event{Kind: event.DRAMRetry, Unit: uint32(chanIdx), Arg: uint64(bankIdx)})
 			}
 			continue
 		}
-		req, pos := d.pick(ch, bankIdx, b.openRow)
-		if req == nil {
+		pos := d.pick(ch, bankIdx, b.openRow)
+		if pos < 0 {
 			continue
 		}
+		req := ch.queue[pos]
 		ch.queue = append(ch.queue[:pos], ch.queue[pos+1:]...)
-		d.service(chanIdx, bankIdx, req, now)
+		d.service(chanIdx, bankIdx, &req, now)
 	}
 }
 
 func (d *DRAM) hasWork(ch *channel, bankIdx int) bool {
-	for _, r := range ch.queue {
-		if r.bank == bankIdx {
+	for i := range ch.queue {
+		if ch.queue[i].bank == bankIdx {
 			return true
 		}
 	}
 	return false
 }
 
-// pick returns the FR-FCFS choice among queued requests for bankIdx: the
-// oldest request targeting the open row, else the oldest request.
-func (d *DRAM) pick(ch *channel, bankIdx int, openRow uint64) (*Request, int) {
-	oldest, oldestPos := (*Request)(nil), -1
-	for i, r := range ch.queue {
+// pick returns the queue position of the FR-FCFS choice among queued
+// requests for bankIdx — the oldest request targeting the open row, else
+// the oldest request — or -1 when the bank has none.
+func (d *DRAM) pick(ch *channel, bankIdx int, openRow uint64) int {
+	oldest := -1
+	for i := range ch.queue {
+		r := &ch.queue[i]
 		if r.bank != bankIdx {
 			continue
 		}
 		if openRow != noOpenRow && r.row == openRow {
-			return r, i // queue order == age order, so first hit is oldest hit
+			return i // queue order == age order, so first hit is oldest hit
 		}
-		if oldest == nil {
-			oldest, oldestPos = r, i
+		if oldest < 0 {
+			oldest = i
 		}
 	}
-	return oldest, oldestPos
+	return oldest
 }
 
 func (d *DRAM) service(chanIdx, bankIdx int, r *Request, now uint64) {
@@ -259,22 +256,16 @@ func (d *DRAM) service(chanIdx, bankIdx int, r *Request, now uint64) {
 	b.busyUntil = now + busy
 	d.stats.BusyCycles += burst
 
-	dn := r.Done
-	d.q.Schedule(done, func(cycle uint64) {
-		if dn != nil {
-			dn(cycle)
-		}
-	})
+	d.q.Schedule(done, r.Done)
 	// The bank frees at `ready`; try to dispatch more work then.
-	ci := chanIdx
-	d.q.Schedule(ready, func(cycle uint64) { d.dispatch(ci, cycle) })
+	d.q.Schedule(ready, event.Event{Kind: event.DRAMDispatch, Unit: uint32(chanIdx)})
 }
 
 // CopyPageBulk performs a RowClone/LISA-style in-DRAM copy of one 4KB base
 // page. Source and destination must reside in the same channel; it returns
-// an error otherwise. done fires when the copy completes; the returned
-// cycle is that completion time.
-func (d *DRAM) CopyPageBulk(now uint64, src, dst vmem.PhysAddr, done func(cycle uint64)) (uint64, error) {
+// an error otherwise. It returns the cycle the copy completes, when the
+// channel dispatches its queued work again.
+func (d *DRAM) CopyPageBulk(now uint64, src, dst vmem.PhysAddr) (uint64, error) {
 	sc := d.ChannelOf(src)
 	if dc := d.ChannelOf(dst); dc != sc {
 		return 0, fmt.Errorf("dram: bulk copy crosses channels (%d -> %d)", sc, dc)
@@ -284,20 +275,15 @@ func (d *DRAM) CopyPageBulk(now uint64, src, dst vmem.PhysAddr, done func(cycle 
 	finish := start + uint64(d.cfg.DRAMBulkCopyCycles)
 	ch.busFree = finish
 	d.stats.BulkCopies++
-	d.q.Schedule(finish, func(cycle uint64) {
-		if done != nil {
-			done(cycle)
-		}
-		d.dispatch(sc, cycle)
-	})
+	d.q.Schedule(finish, event.Event{Kind: event.DRAMDispatch, Unit: uint32(sc)})
 	return finish, nil
 }
 
 // CopyPageNarrow copies one 4KB base page 64 bits at a time over the
 // channel bus — the conventional migration path (paper §4.4). It occupies
-// the source channel for the whole transfer. done fires on completion;
-// the returned cycle is that completion time.
-func (d *DRAM) CopyPageNarrow(now uint64, src, dst vmem.PhysAddr, done func(cycle uint64)) uint64 {
+// the source channel for the whole transfer. It returns the cycle the
+// copy completes, when the channel dispatches its queued work again.
+func (d *DRAM) CopyPageNarrow(now uint64, src, dst vmem.PhysAddr) uint64 {
 	// 4KB read + 4KB write at 64 bits/cycle.
 	const words = vmem.BasePageSize / 8
 	sc := d.ChannelOf(src)
@@ -307,17 +293,12 @@ func (d *DRAM) CopyPageNarrow(now uint64, src, dst vmem.PhysAddr, done func(cycl
 	ch.busFree = finish
 	d.stats.NarrowCopy++
 	d.stats.BusyCycles += 2 * words
-	d.q.Schedule(finish, func(cycle uint64) {
-		if done != nil {
-			done(cycle)
-		}
-		d.dispatch(sc, cycle)
-	})
+	d.q.Schedule(finish, event.Event{Kind: event.DRAMDispatch, Unit: uint32(sc)})
 	return finish
 }
 
 // PendingRequests reports the number of queued (not yet dispatched)
-// requests across all channels; used by tests and drain logic.
+// requests across all channels.
 func (d *DRAM) PendingRequests() int {
 	n := 0
 	for i := range d.channels {

@@ -11,7 +11,29 @@ import (
 
 func newTestDRAM() (*DRAM, *event.Queue) {
 	q := &event.Queue{}
-	return New(config.Default(), q), q
+	d := New(config.Default(), q)
+	q.SetHandler(func(c uint64, ev event.Event) {
+		switch ev.Kind {
+		case event.DRAMDispatch:
+			d.Dispatch(int(ev.Unit), c)
+		case event.DRAMRetry:
+			d.Retry(int(ev.Unit), int(ev.Arg), c)
+		case testDone:
+			callbacks[ev.Arg](c)
+		}
+	})
+	return d, q
+}
+
+// testDone is a kind no component handles: it runs callbacks[Arg].
+const testDone event.Kind = 255
+
+var callbacks []func(uint64)
+
+// on registers fn as a request's completion.
+func on(fn func(uint64)) event.Event {
+	callbacks = append(callbacks, fn)
+	return event.Event{Kind: testDone, Arg: uint64(len(callbacks) - 1)}
 }
 
 // drain advances the event queue until no events remain, returning the
@@ -31,7 +53,7 @@ func drain(q *event.Queue) uint64 {
 func TestSingleAccessCompletes(t *testing.T) {
 	d, q := newTestDRAM()
 	var doneAt uint64
-	d.Enqueue(0, Request{Addr: 0x1000, Done: func(c uint64) { doneAt = c }})
+	d.Enqueue(0, Request{Addr: 0x1000, Done: on(func(c uint64) { doneAt = c })})
 	drain(q)
 	cfg := config.Default()
 	want := uint64(cfg.DRAMRowMissCycles + cfg.DRAMBusCycles)
@@ -47,11 +69,11 @@ func TestSingleAccessCompletes(t *testing.T) {
 func TestRowBufferHitIsFaster(t *testing.T) {
 	d, q := newTestDRAM()
 	var first, second uint64
-	d.Enqueue(0, Request{Addr: 0x0, Done: func(c uint64) { first = c }})
+	d.Enqueue(0, Request{Addr: 0x0, Done: on(func(c uint64) { first = c })})
 	drain(q)
 	// Same row (consecutive address in same line row, same channel/bank):
 	// use the exact same address so mapping is identical.
-	d.Enqueue(first, Request{Addr: 0x0, Done: func(c uint64) { second = c }})
+	d.Enqueue(first, Request{Addr: 0x0, Done: on(func(c uint64) { second = c })})
 	drain(q)
 	cfg := config.Default()
 	gap := second - first
@@ -115,8 +137,8 @@ func TestBankParallelism(t *testing.T) {
 		t.Fatal("no same-channel different-bank page found")
 	}
 	var done0, done1 uint64
-	d.Enqueue(0, Request{Addr: addr0, Done: func(c uint64) { done0 = c }})
-	d.Enqueue(0, Request{Addr: addr1, Done: func(c uint64) { done1 = c }})
+	d.Enqueue(0, Request{Addr: addr0, Done: on(func(c uint64) { done0 = c })})
+	d.Enqueue(0, Request{Addr: addr1, Done: on(func(c uint64) { done1 = c })})
 	drain(q)
 	serialized := uint64(2 * (cfg.DRAMRowMissCycles + cfg.DRAMBusCycles))
 	last := max64(done0, done1)
@@ -155,9 +177,9 @@ func TestFRFCFSPrefersRowHit(t *testing.T) {
 	// FR-FCFS must service A (oldest, all misses), which opens rowA,
 	// then prefer C (rowA hit) over the older B (rowB miss).
 	var aDone, bDone, cDone uint64
-	d.Enqueue(0, Request{Addr: pageA, Done: func(c uint64) { aDone = c }})
-	d.Enqueue(0, Request{Addr: pageB, Done: func(c uint64) { bDone = c }})
-	d.Enqueue(0, Request{Addr: pageA + 8, Done: func(c uint64) { cDone = c }})
+	d.Enqueue(0, Request{Addr: pageA, Done: on(func(c uint64) { aDone = c })})
+	d.Enqueue(0, Request{Addr: pageB, Done: on(func(c uint64) { bDone = c })})
+	d.Enqueue(0, Request{Addr: pageA + 8, Done: on(func(c uint64) { cDone = c })})
 	drain(q)
 	if aDone == 0 || bDone == 0 || cDone == 0 {
 		t.Fatal("not all requests completed")
@@ -186,11 +208,13 @@ func TestBulkCopySameChannel(t *testing.T) {
 	if dst == 0 {
 		t.Fatal("no same-channel page found")
 	}
-	var doneAt uint64
-	if _, err := d.CopyPageBulk(0, src, dst, func(c uint64) { doneAt = c }); err != nil {
+	doneAt, err := d.CopyPageBulk(0, src, dst)
+	if err != nil {
 		t.Fatal(err)
 	}
-	drain(q)
+	if last := drain(q); last != doneAt {
+		t.Errorf("channel redispatched at %d, want the copy's finish %d", last, doneAt)
+	}
 	if doneAt != uint64(cfg.DRAMBulkCopyCycles) {
 		t.Errorf("bulk copy done at %d, want %d", doneAt, cfg.DRAMBulkCopyCycles)
 	}
@@ -213,16 +237,17 @@ func TestBulkCopyRejectsCrossChannel(t *testing.T) {
 	if dst == 0 {
 		t.Fatal("no cross-channel page found")
 	}
-	if _, err := d.CopyPageBulk(0, src, dst, nil); err == nil {
+	if _, err := d.CopyPageBulk(0, src, dst); err == nil {
 		t.Error("cross-channel bulk copy accepted, want error")
 	}
 }
 
 func TestNarrowCopySlowerThanBulk(t *testing.T) {
 	d, q := newTestDRAM()
-	var narrowDone uint64
-	d.CopyPageNarrow(0, 0, 0x10000, func(c uint64) { narrowDone = c })
-	drain(q)
+	narrowDone := d.CopyPageNarrow(0, 0, 0x10000)
+	if last := drain(q); last != narrowDone {
+		t.Errorf("channel redispatched at %d, want the copy's finish %d", last, narrowDone)
+	}
 	cfg := config.Default()
 	if narrowDone <= uint64(cfg.DRAMBulkCopyCycles) {
 		t.Errorf("narrow copy (%d cycles) should be slower than bulk (%d)", narrowDone, cfg.DRAMBulkCopyCycles)
@@ -240,7 +265,7 @@ func TestAllRequestsComplete(t *testing.T) {
 		completed := 0
 		for i := 0; i < count; i++ {
 			addr := vmem.PhysAddr((uint64(seed)*2654435761 + uint64(i)*7919) % (1 << 30))
-			d.Enqueue(0, Request{Addr: addr, Done: func(uint64) { completed++ }})
+			d.Enqueue(0, Request{Addr: addr, Done: on(func(uint64) { completed++ })})
 		}
 		drain(q)
 		return completed == count && d.PendingRequests() == 0

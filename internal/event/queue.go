@@ -3,6 +3,12 @@
 // sequence) so ties resolve in FIFO order regardless of heap internals,
 // keeping simulations reproducible.
 //
+// An event is plain data: a Kind saying what to do plus the indices that
+// name whom to do it to. The queue hands each due event to one Handler,
+// bound once by the owner; the simulator's handler is a switch over Kind.
+// Because nothing in the queue is a closure, a queue — and with it every
+// in-flight operation of the engine — can be copied at any cycle.
+//
 // The queue is a monomorphic binary heap — items are stored and moved as
 // plain structs, never boxed through an interface — so steady-state
 // scheduling performs no per-event allocations. Events scheduled for the
@@ -11,14 +17,45 @@
 // append buffer.
 package event
 
-// Func is the callback invoked when an event fires. It receives the cycle
-// at which it fires.
-type Func func(cycle uint64)
+// Kind names what an event does when it fires. Every kind the simulator
+// schedules is listed here so its dispatcher's switch is the one place
+// that routes them; the zero Kind is a completion nobody waits for.
+type Kind uint8
+
+// Event kinds, with the operands each reads from Unit and Arg.
+const (
+	None         Kind = iota // does nothing when it fires
+	DRAMDispatch             // FR-FCFS dispatch on DRAM channel Unit
+	DRAMRetry                // clear bank Arg's retry flag, dispatch channel Unit
+	WalkStep                 // continue the page walk in walker slot Unit
+	WalkFill                 // fill page-walk-cache line Arg, then WalkStep
+	WalkDone                 // deliver a finished walk to memory request Arg
+	L2Lookup                 // memory request Arg's shared L2 TLB lookup
+	Resident                 // resume memory request Arg once its page is resident
+	Complete                 // retire memory request Arg's lane
+	L1Fill                   // complete SM Unit's L1 cache miss for address Arg
+	L2Fill                   // complete the shared L2 cache miss for address Arg
+	FaultLanded              // land app Unit's unbounded fault transfer for key Arg
+	PageIn                   // land the pager's oldest in-flight page-in
+	PageOut                  // retire the pager's oldest in-flight write-back
+	DeallocPoll              // run the simulator's periodic dealloc check
+)
+
+// Event is one scheduled action. It is a plain value: copying it copies
+// the whole action.
+type Event struct {
+	Kind Kind
+	Unit uint32 // component instance: SM, DRAM channel, walker slot, or app
+	Arg  uint64 // request handle, address, bank, or fault key
+}
+
+// Handler runs one event at the cycle it fires.
+type Handler func(cycle uint64, ev Event)
 
 type item struct {
 	cycle uint64
 	seq   uint64
-	fn    Func
+	ev    Event
 }
 
 // less orders items by (cycle, seq): earliest cycle first, FIFO on ties.
@@ -29,11 +66,15 @@ func (it item) less(o item) bool {
 	return it.seq < o.seq
 }
 
-// Queue is a future-event list. The zero value is ready to use. Queue is
-// not safe for concurrent use; the simulator is single-goroutine by design.
+// Queue is a future-event list. The zero value is ready to use once a
+// handler is set. Queue is not safe for concurrent use; the simulator is
+// single-goroutine by design.
 type Queue struct {
 	h   []item
 	seq uint64
+
+	// handler runs every fired event (see SetHandler).
+	handler Handler
 
 	// Same-cycle fast path: while RunDue(cycle) is draining, events
 	// scheduled for exactly that cycle append here instead of entering
@@ -45,6 +86,16 @@ type Queue struct {
 	due     []item
 	dueHead int
 }
+
+// SetHandler binds the function that runs fired events. The owner binds
+// it once at construction; a cloned queue needs its own.
+func (q *Queue) SetHandler(h Handler) { q.handler = h }
+
+// Fire runs ev at cycle through the handler immediately, without
+// scheduling it. Components use it for continuations that complete
+// synchronously (a cache fill waking its MSHR waiters, a landed page
+// waking its faulting lanes).
+func (q *Queue) Fire(cycle uint64, ev Event) { q.handler(cycle, ev) }
 
 // push adds it to the heap, restoring the heap invariant bottom-up.
 func (q *Queue) push(it item) {
@@ -66,7 +117,6 @@ func (q *Queue) pop() item {
 	top := q.h[0]
 	n := len(q.h) - 1
 	q.h[0] = q.h[n]
-	q.h[n] = item{} // release the callback reference
 	q.h = q.h[:n]
 	i := 0
 	for {
@@ -87,26 +137,33 @@ func (q *Queue) pop() item {
 	return top
 }
 
-// Schedule registers fn to run at the given absolute cycle.
-func (q *Queue) Schedule(cycle uint64, fn Func) {
+// Schedule registers ev to fire at the given absolute cycle.
+func (q *Queue) Schedule(cycle uint64, ev Event) {
 	q.seq++
 	if q.running && cycle == q.now {
-		q.due = append(q.due, item{cycle: cycle, seq: q.seq, fn: fn})
+		q.due = append(q.due, item{cycle: cycle, seq: q.seq, ev: ev})
 		return
 	}
-	q.push(item{cycle: cycle, seq: q.seq, fn: fn})
+	q.push(item{cycle: cycle, seq: q.seq, ev: ev})
 }
 
 // Len returns the number of pending events.
 func (q *Queue) Len() int { return len(q.h) + len(q.due) - q.dueHead }
 
-// CloneEmpty returns a fresh queue with no pending events that continues
-// the receiver's sequence numbering. Forked simulators use it so that the
-// relative (cycle, seq) order of events scheduled after the fork matches
-// the order a cold run would have produced: both start from the same
-// sequence point, and callbacks cannot observe absolute sequence values.
-// The receiver is not modified and shares no state with the clone.
-func (q *Queue) CloneEmpty() *Queue { return &Queue{seq: q.seq} }
+// Clone returns a copy of the queue holding the same pending events in
+// the same (cycle, seq) order and continuing the same sequence
+// numbering, so a forked simulator fires exactly the events the source
+// would have. The copy shares no backing array with the receiver and has
+// no handler; its owner binds one.
+func (q *Queue) Clone() *Queue {
+	return &Queue{
+		h:       append([]item(nil), q.h...),
+		seq:     q.seq,
+		running: q.running,
+		now:     q.now,
+		due:     append([]item(nil), q.due[q.dueHead:]...),
+	}
+}
 
 // NextCycle returns the cycle of the earliest pending event. ok is false
 // when the queue is empty.
@@ -123,7 +180,7 @@ func (q *Queue) NextCycle() (cycle uint64, ok bool) {
 }
 
 // RunDue pops and runs every event scheduled at or before cycle, in
-// (cycle, seq) order. Events scheduled by callbacks for cycles <= cycle
+// (cycle, seq) order. Events scheduled by the handler for cycles <= cycle
 // also run. It returns the number of events fired.
 func (q *Queue) RunDue(cycle uint64) int {
 	n := 0
@@ -135,15 +192,14 @@ func (q *Queue) RunDue(cycle uint64) int {
 		// to due during this drain.
 		if len(q.h) > 0 && q.h[0].cycle <= cycle {
 			it := q.pop()
-			it.fn(it.cycle)
+			q.handler(it.cycle, it.ev)
 			n++
 			continue
 		}
 		if q.dueHead < len(q.due) {
 			it := q.due[q.dueHead]
-			q.due[q.dueHead] = item{} // release the callback reference
 			q.dueHead++
-			it.fn(it.cycle)
+			q.handler(it.cycle, it.ev)
 			n++
 			continue
 		}

@@ -55,13 +55,14 @@ type Harness struct {
 	// SweepWarmup, when positive, turns the TLB sweeps (Fig14*/Fig15*)
 	// into two-phase plans amortized across cells: every cell of one
 	// (workload, policy) family shares a warmup prefix of this many cycles
-	// executed once under the base configuration, snapshotted at its
-	// quiesce point, and forked per cell with the cell's TLB geometry
-	// applied via sim.Reconfigure. Results are byte-identical to running
-	// each cell's two-phase plan cold (see SweepColdstart) at every Jobs
-	// value. Sweeps whose cells change non-TLB knobs ignore the setting
-	// (with a Progress warning) and run plain. Zero (the default) keeps
-	// the pre-existing single-phase sweep behavior and digests.
+	// executed once under the base configuration, snapshotted at its end
+	// with in-flight work included, and forked per cell with the cell's
+	// TLB geometry applied via sim.Reconfigure. Results are byte-identical
+	// to running each cell's two-phase plan cold (see SweepColdstart) at
+	// every Jobs value. Sweeps whose cells change non-TLB knobs ignore
+	// the setting (with a Progress warning) and run plain. Zero (the
+	// default) keeps the pre-existing single-phase sweep behavior and
+	// digests.
 	SweepWarmup uint64
 	// SweepColdstart forces SweepWarmup-mode sweeps to run each cell's
 	// two-phase plan from scratch instead of forking the shared snapshot —

@@ -53,7 +53,7 @@ type Bus struct {
 	// pageIn (by vmem.PageSize: a base page-in can land before an earlier
 	// large one) and writeBack queue the completion cycles of issued,
 	// undelivered transfers. Depth is derived from them at issue time, not
-	// from event-queue callbacks, so a transfer completing exactly at
+	// from event-queue completions, so a transfer completing exactly at
 	// cycle c does not count toward the depth seen by an arrival at c.
 	pageIn    [2]fifo
 	writeBack fifo
@@ -93,10 +93,8 @@ func New(cfg config.Config, q *event.Queue) *Bus {
 
 // Clone returns a deep copy of the bus wired to q (a forked simulator's
 // event queue): busyUntil, the completion FIFOs and stats, so a fork sees
-// the same future bus availability a cold run would. Completion callbacks
-// of transfers still in flight live on the source's event queue, not in
-// the Bus, so callers must quiesce (drain all transfers) before
-// snapshotting.
+// the same future bus availability a cold run would. The completion
+// events of transfers still in flight travel with q.
 func (b *Bus) Clone(q *event.Queue) *Bus {
 	nb := *b
 	nb.q = q
@@ -150,9 +148,10 @@ func (b *Bus) track(f *fifo, now, finish uint64) {
 }
 
 // Transfer queues a page transfer of the given size starting no earlier
-// than now. done fires at the cycle the page is fully resident in GPU
-// memory (queue delay + load-to-use latency). It returns that cycle.
-func (b *Bus) Transfer(now uint64, size vmem.PageSize, done func(cycle uint64)) uint64 {
+// than now. done, unless it is the zero Event, fires at the cycle the page
+// is fully resident in GPU memory (queue delay + load-to-use latency). It
+// returns that cycle.
+func (b *Bus) Transfer(now uint64, size vmem.PageSize, done event.Event) uint64 {
 	start := b.admit(now, b.OccupancyCycles(size))
 	finish := start + b.LoadToUseCycles(size)
 	if size == vmem.Large {
@@ -161,7 +160,7 @@ func (b *Bus) Transfer(now uint64, size vmem.PageSize, done func(cycle uint64)) 
 		b.stats.BaseTransfers++
 	}
 	b.track(&b.pageIn[size], now, finish)
-	if done != nil {
+	if done != (event.Event{}) {
 		b.q.Schedule(finish, done)
 	}
 	return finish
@@ -169,11 +168,12 @@ func (b *Bus) Transfer(now uint64, size vmem.PageSize, done func(cycle uint64)) 
 
 // WriteBack queues an eviction write-back of a dirty page to the host
 // tier. The link is held for the transfer's occupancy exactly as for a
-// page-in, but there is no fault-handling latency on top: done fires (and
-// the returned cycle is) when the data has left GPU memory, after which
-// the frame may be reused. Because the bus is FIFO, any page-in issued
-// after this write-back queues behind it.
-func (b *Bus) WriteBack(now uint64, size vmem.PageSize, done func(cycle uint64)) uint64 {
+// page-in, but there is no fault-handling latency on top: done, unless it
+// is the zero Event, fires (and the returned cycle is) when the data has
+// left GPU memory, after which the frame may be reused. Because the bus
+// is FIFO, any page-in issued after this write-back queues behind it, and
+// write-backs finish in the order they were issued.
+func (b *Bus) WriteBack(now uint64, size vmem.PageSize, done event.Event) uint64 {
 	occ := b.OccupancyCycles(size)
 	start := b.admit(now, occ)
 	finish := start + occ
@@ -183,7 +183,7 @@ func (b *Bus) WriteBack(now uint64, size vmem.PageSize, done func(cycle uint64))
 		b.stats.WriteBackBase++
 	}
 	b.track(&b.writeBack, now, finish)
-	if done != nil {
+	if done != (event.Event{}) {
 		b.q.Schedule(finish, done)
 	}
 	return finish

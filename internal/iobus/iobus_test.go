@@ -12,7 +12,16 @@ import (
 
 func newBus() (*Bus, *event.Queue) {
 	q := &event.Queue{}
+	q.SetHandler(func(c uint64, ev event.Event) { callbacks[ev.Arg](c) })
 	return New(config.Default(), q), q
+}
+
+var callbacks []func(uint64)
+
+// on registers fn as a transfer's completion.
+func on(fn func(uint64)) event.Event {
+	callbacks = append(callbacks, fn)
+	return event.Event{Kind: event.PageIn, Arg: uint64(len(callbacks) - 1)}
 }
 
 func drain(q *event.Queue) {
@@ -28,7 +37,7 @@ func drain(q *event.Queue) {
 func TestBaseTransferLatency(t *testing.T) {
 	b, q := newBus()
 	var doneAt uint64
-	b.Transfer(0, vmem.Base, func(c uint64) { doneAt = c })
+	b.Transfer(0, vmem.Base, on(func(c uint64) { doneAt = c }))
 	drain(q)
 	want := config.Default().IOBaseFaultCycles
 	if doneAt != want {
@@ -39,7 +48,7 @@ func TestBaseTransferLatency(t *testing.T) {
 func TestLargeTransferLatency(t *testing.T) {
 	b, q := newBus()
 	var doneAt uint64
-	b.Transfer(0, vmem.Large, func(c uint64) { doneAt = c })
+	b.Transfer(0, vmem.Large, on(func(c uint64) { doneAt = c }))
 	drain(q)
 	want := config.Default().IOLargeFaultCycles
 	if doneAt != want {
@@ -50,8 +59,8 @@ func TestLargeTransferLatency(t *testing.T) {
 func TestPipelinedTransfers(t *testing.T) {
 	b, q := newBus()
 	var first, second uint64
-	b.Transfer(0, vmem.Base, func(c uint64) { first = c })
-	b.Transfer(0, vmem.Base, func(c uint64) { second = c })
+	b.Transfer(0, vmem.Base, on(func(c uint64) { first = c }))
+	b.Transfer(0, vmem.Base, on(func(c uint64) { second = c }))
 	drain(q)
 	cfg := config.Default()
 	lat, occ := cfg.IOBaseFaultCycles, cfg.IOBaseOccupancyCycles
@@ -73,8 +82,8 @@ func TestLargeTransferOccupancyDominates(t *testing.T) {
 	// which is what collapses multi-app performance in Fig. 4.
 	b, q := newBus()
 	var second uint64
-	b.Transfer(0, vmem.Large, nil)
-	b.Transfer(0, vmem.Large, func(c uint64) { second = c })
+	b.Transfer(0, vmem.Large, event.Event{})
+	b.Transfer(0, vmem.Large, on(func(c uint64) { second = c }))
 	drain(q)
 	cfg := config.Default()
 	want := cfg.IOLargeOccupancyCycles + cfg.IOLargeFaultCycles
@@ -88,14 +97,14 @@ func TestLargeTransferBlocksLongerThanBase(t *testing.T) {
 	// more than a 4KB transfer would — the core of the paper's Fig. 4.
 	bLarge, qL := newBus()
 	var afterLarge uint64
-	bLarge.Transfer(0, vmem.Large, nil)
-	bLarge.Transfer(0, vmem.Base, func(c uint64) { afterLarge = c })
+	bLarge.Transfer(0, vmem.Large, event.Event{})
+	bLarge.Transfer(0, vmem.Base, on(func(c uint64) { afterLarge = c }))
 	drain(qL)
 
 	bBase, qB := newBus()
 	var afterBase uint64
-	bBase.Transfer(0, vmem.Base, nil)
-	bBase.Transfer(0, vmem.Base, func(c uint64) { afterBase = c })
+	bBase.Transfer(0, vmem.Base, event.Event{})
+	bBase.Transfer(0, vmem.Base, on(func(c uint64) { afterBase = c }))
 	drain(qB)
 
 	if afterLarge <= afterBase {
@@ -106,7 +115,7 @@ func TestLargeTransferBlocksLongerThanBase(t *testing.T) {
 func TestTransferReturnsCompletionCycle(t *testing.T) {
 	b, _ := newBus()
 	cfg := config.Default()
-	fin := b.Transfer(100, vmem.Base, nil)
+	fin := b.Transfer(100, vmem.Base, event.Event{})
 	if fin != 100+cfg.IOBaseFaultCycles {
 		t.Errorf("Transfer returned %d", fin)
 	}
@@ -117,9 +126,9 @@ func TestTransferReturnsCompletionCycle(t *testing.T) {
 
 func TestStats(t *testing.T) {
 	b, q := newBus()
-	b.Transfer(0, vmem.Base, nil)
-	b.Transfer(0, vmem.Large, nil)
-	b.Transfer(0, vmem.Base, nil)
+	b.Transfer(0, vmem.Base, event.Event{})
+	b.Transfer(0, vmem.Large, event.Event{})
+	b.Transfer(0, vmem.Base, event.Event{})
 	drain(q)
 	s := b.Stats()
 	if s.BaseTransfers != 2 || s.LargeTransfers != 1 {
@@ -145,7 +154,7 @@ func TestPipeliningProperty(t *testing.T) {
 		b, q := newBus()
 		var last uint64
 		for i := uint64(0); i < count; i++ {
-			b.Transfer(0, vmem.Base, func(c uint64) { last = c })
+			b.Transfer(0, vmem.Base, on(func(c uint64) { last = c }))
 		}
 		drain(q)
 		cfg := config.Default()
@@ -183,7 +192,7 @@ func TestOccupancyAccessors(t *testing.T) {
 func TestQueueDepthDrains(t *testing.T) {
 	b, q := newBus()
 	for i := 0; i < 5; i++ {
-		b.Transfer(0, vmem.Base, nil)
+		b.Transfer(0, vmem.Base, event.Event{})
 	}
 	drain(q)
 	if b.Stats().MaxQueueDepth != 5 {
@@ -199,12 +208,12 @@ func TestArrivalExactlyAtBusyUntil(t *testing.T) {
 	b, q := newBus()
 	cfg := config.Default()
 	occ, lat := cfg.IOBaseOccupancyCycles, cfg.IOBaseFaultCycles
-	b.Transfer(0, vmem.Base, nil)
+	b.Transfer(0, vmem.Base, event.Event{})
 	if b.BusyUntil() != occ {
 		t.Fatalf("BusyUntil = %d, want %d", b.BusyUntil(), occ)
 	}
 	var doneAt uint64
-	fin := b.Transfer(occ, vmem.Base, func(c uint64) { doneAt = c })
+	fin := b.Transfer(occ, vmem.Base, on(func(c uint64) { doneAt = c }))
 	drain(q)
 	s := b.Stats()
 	if s.TotalQueueDelay != 0 {
@@ -228,7 +237,7 @@ func TestSameCycleQueueAccounting(t *testing.T) {
 	var done [3]uint64
 	for i := 0; i < 3; i++ {
 		i := i
-		b.Transfer(100, vmem.Base, func(c uint64) { done[i] = c })
+		b.Transfer(100, vmem.Base, on(func(c uint64) { done[i] = c }))
 	}
 	drain(q)
 	s := b.Stats()
@@ -256,21 +265,21 @@ func TestDepthExcludesCompletionsAtArrivalCycle(t *testing.T) {
 	b, _ := newBus()
 	cfg := config.Default()
 	lat := cfg.IOBaseFaultCycles
-	fin := b.Transfer(0, vmem.Base, nil)
+	fin := b.Transfer(0, vmem.Base, event.Event{})
 	if fin != lat {
 		t.Fatalf("first transfer finishes at %d, want %d", fin, lat)
 	}
 	// Arrive exactly at the first transfer's completion cycle, without
 	// draining the event queue in between (the simulator can issue a new
 	// fault from the very event wave that delivers the old page).
-	b.Transfer(fin, vmem.Base, nil)
+	b.Transfer(fin, vmem.Base, event.Event{})
 	if d := b.Stats().MaxQueueDepth; d != 1 {
 		t.Errorf("MaxQueueDepth = %d, want 1 (completion at arrival cycle must not overlap)", d)
 	}
 	// One cycle earlier they genuinely overlap.
 	b2, _ := newBus()
-	b2.Transfer(0, vmem.Base, nil)
-	b2.Transfer(lat-1, vmem.Base, nil)
+	b2.Transfer(0, vmem.Base, event.Event{})
+	b2.Transfer(lat-1, vmem.Base, event.Event{})
 	if d := b2.Stats().MaxQueueDepth; d != 2 {
 		t.Errorf("MaxQueueDepth = %d, want 2 (still in flight one cycle before completion)", d)
 	}
@@ -283,7 +292,7 @@ func TestWriteBackHoldsLinkWithoutFaultLatency(t *testing.T) {
 	b, q := newBus()
 	cfg := config.Default()
 	var doneAt uint64
-	fin := b.WriteBack(0, vmem.Base, func(c uint64) { doneAt = c })
+	fin := b.WriteBack(0, vmem.Base, on(func(c uint64) { doneAt = c }))
 	drain(q)
 	if want := cfg.IOBaseOccupancyCycles; fin != want || doneAt != want {
 		t.Errorf("4KB write-back done at %d (returned %d), want %d", doneAt, fin, want)
@@ -300,7 +309,7 @@ func TestWriteBackHoldsLinkWithoutFaultLatency(t *testing.T) {
 	}
 
 	bl, ql := newBus()
-	finL := bl.WriteBack(0, vmem.Large, nil)
+	finL := bl.WriteBack(0, vmem.Large, event.Event{})
 	drain(ql)
 	if finL != cfg.IOLargeOccupancyCycles {
 		t.Errorf("2MB write-back done at %d, want %d", finL, cfg.IOLargeOccupancyCycles)
@@ -322,8 +331,8 @@ func TestWriteBackSerializesBeforePageIn(t *testing.T) {
 	cfg := config.Default()
 	occ, lat := cfg.IOBaseOccupancyCycles, cfg.IOBaseFaultCycles
 	var wbDone, inDone uint64
-	b.WriteBack(0, vmem.Base, func(c uint64) { wbDone = c })
-	b.Transfer(0, vmem.Base, func(c uint64) { inDone = c })
+	b.WriteBack(0, vmem.Base, on(func(c uint64) { wbDone = c }))
+	b.Transfer(0, vmem.Base, on(func(c uint64) { inDone = c }))
 	drain(q)
 	if wbDone != occ {
 		t.Errorf("write-back done at %d, want %d", wbDone, occ)
@@ -392,9 +401,9 @@ func TestQueueDepthMatchesLinearScanProperty(t *testing.T) {
 			size := vmem.PageSize(op & 1)
 			var fin uint64
 			if op&2 == 0 {
-				fin = b.Transfer(now, size, nil)
+				fin = b.Transfer(now, size, event.Event{})
 			} else {
-				fin = b.WriteBack(now, size, nil)
+				fin = b.WriteBack(now, size, event.Event{})
 			}
 			ref.track(now, fin)
 			got, want := liveCycles(b), ref.cycles()
@@ -413,10 +422,10 @@ func TestQueueDepthMatchesLinearScanProperty(t *testing.T) {
 	b, _ := newBus()
 	var ref refDepth
 	for i := uint64(0); i < 8; i++ {
-		ref.track(i, b.Transfer(i, vmem.PageSize(i&1), nil))
+		ref.track(i, b.Transfer(i, vmem.PageSize(i&1), event.Event{}))
 	}
 	nb := b.Clone(&event.Queue{})
-	ref.track(9, nb.WriteBack(9, vmem.Base, nil))
+	ref.track(9, nb.WriteBack(9, vmem.Base, event.Event{}))
 	if got := liveCycles(nb); !slices.Equal(got, ref.cycles()) || nb.Stats().MaxQueueDepth != ref.max {
 		t.Errorf("clone live %v (max %d), want %v (max %d)", got, nb.Stats().MaxQueueDepth, ref.cycles(), ref.max)
 	}
@@ -434,9 +443,9 @@ func TestTransferStreamAllocFree(t *testing.T) {
 	gap := cfg.IOLargeOccupancyCycles + 2*cfg.IOBaseOccupancyCycles
 	now := uint64(0)
 	step := func() {
-		b.Transfer(now, vmem.Base, nil)
-		b.WriteBack(now, vmem.Base, nil)
-		b.Transfer(now, vmem.Large, nil)
+		b.Transfer(now, vmem.Base, event.Event{})
+		b.WriteBack(now, vmem.Base, event.Event{})
+		b.Transfer(now, vmem.Large, event.Event{})
 		now += gap
 	}
 	for i := 0; i < 1000; i++ {

@@ -35,7 +35,8 @@ type RunRequest struct {
 	Oversub float64 `json:",omitempty"`
 	// SnapshotWarmupCycles runs the simulation as a two-phase plan (same
 	// meaning as mosaic-sim -snapshot-warmup): a warmup prefix to this
-	// cycle, a quiesce, then the measured remainder. It participates in
+	// cycle, a snapshot point that keeps in-flight work in flight, then
+	// the measured remainder. It participates in
 	// the config digest — a two-phase run is a distinct experiment — and
 	// a server-side run produces the same ConfigDigest identity as a
 	// client-side run forked from a warmed snapshot of the same plan.

@@ -51,15 +51,14 @@ type Options struct {
 	// events (see internal/trace) into Results.Trace.
 	TraceLimit int
 	// SnapshotWarmup, when positive, runs the simulation as a two-phase
-	// plan: a warmup prefix to (at least) this cycle followed by a quiesce
-	// (instruction issue freezes and all in-flight events drain), then the
-	// remainder of the run. The quiesce point is where Snapshot/Fork may
-	// capture the engine, and the drain perturbs timing relative to a plain
-	// run, so the knob is part of the ConfigDigest: a warmup run is a
-	// different (but equally deterministic) experiment than a plain run,
-	// and forked runs are byte-identical to cold runs of the same plan.
-	// Zero leaves the digest and the run plan exactly as they were before
-	// the knob existed.
+	// plan: a warmup prefix to (at least) this cycle, where Snapshot/Fork
+	// may capture the engine with whatever is in flight, then the
+	// remainder of the run. Cold and forked runs alike call Reconfigure
+	// between the phases, which rebuilds the TLBs, so the knob is part of
+	// the ConfigDigest: a warmup run is a different (but equally
+	// deterministic) experiment than a plain run, and forked runs are
+	// byte-identical to cold runs of the same plan. Zero leaves the digest
+	// and the run plan exactly as they were before the knob existed.
 	SnapshotWarmup uint64
 }
 
@@ -247,14 +246,16 @@ func Digest(cfg config.Config, opt Options) string {
 // when they hold their zero value — a run that does not use a new knob
 // keeps the digest it had before the knob existed.
 // Options.SnapshotWarmup follows the same zero-omission rule inline:
-// it joins the hash only when set, because the warmup quiesce changes
-// timing and therefore defines a distinct experiment.
+// it joins the hash only when set, because the two-phase plan defines a
+// distinct experiment. Its term names the plan that snapshots in-flight
+// work (" snapshot-at="); the older " warmup=" term named a plan that
+// drained the engine first, and must never match the current one.
 func configDigest(cfg config.Config, opt Options, mopt core.Options) string {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%s|seed=%d frag=%g/%g dealloc=%g",
 		cfg.DigestString(), opt.Seed, opt.FragIndex, opt.FragOccupancy, opt.DeallocFraction)
 	if opt.SnapshotWarmup > 0 {
-		fmt.Fprintf(h, " warmup=%d", opt.SnapshotWarmup)
+		fmt.Fprintf(h, " snapshot-at=%d", opt.SnapshotWarmup)
 	}
 	fmt.Fprintf(h, "|%+v", mopt)
 	return fmt.Sprintf("%016x", h.Sum64())
@@ -285,17 +286,6 @@ type Simulator struct {
 	liveApps int
 	rec      *trace.Recorder
 
-	// deallocPoll is pollDealloc bound once, so re-arming the poll on the
-	// event queue does not allocate a fresh method value each period.
-	deallocPoll event.Func
-	// pollPending/pollAt track whether (and for which cycle) the dealloc
-	// poll is currently scheduled. The poll is the one event allowed to
-	// remain on the queue across a warmup quiesce — it re-arms itself
-	// indefinitely, so draining it would hang — and Fork uses pollAt to
-	// re-schedule a freshly bound poll on the fork's queue.
-	pollPending bool
-	pollAt      uint64
-
 	// started records that the run plan began (the dealloc poll, if any,
 	// is armed); warmupDone that the warmup phase (if any) completed;
 	// frozen that a Snapshot captured this simulator, after which it must
@@ -304,11 +294,10 @@ type Simulator struct {
 	warmupDone bool
 	frozen     bool
 
-	// Free lists for the pooled memory-access path (see memory.go). Both
-	// are LIFO stacks; objects carry their callbacks pre-bound, so the
-	// steady-state translate+data path performs no allocations.
-	reqFree  []*memReq
-	fillFree []*fillReq
+	// reqs is the table of in-flight lane accesses (see memory.go);
+	// reqFree is the LIFO stack of its idle handles.
+	reqs    []memReq
+	reqFree []uint32
 
 	l1Req, l1Hit uint64
 	l2Req, l2Hit uint64
@@ -328,6 +317,7 @@ func New(cfg config.Config, wl workload.Workload, opt Options) (*Simulator, erro
 	}
 
 	s := &Simulator{cfg: cfg, opt: opt, wl: wl, q: &event.Queue{}}
+	s.q.SetHandler(s.fire)
 	s.bus = iobus.New(cfg, s.q)
 	s.mem = dram.New(cfg, s.q)
 
@@ -378,7 +368,7 @@ func New(cfg config.Config, wl workload.Workload, opt Options) (*Simulator, erro
 			cfg.L2CacheLineSz, ways)
 	}
 	s.pwc = pwc
-	s.walker = walker.New(cfg.WalkerConcurrency, mgr, s.walkAccess)
+	s.walker = walker.New(cfg.WalkerConcurrency, mgr, s.walkAccess, s.walkDone)
 	s.bindFlushHooks()
 
 	if err := s.setupApps(); err != nil {
@@ -387,21 +377,49 @@ func New(cfg config.Config, wl workload.Workload, opt Options) (*Simulator, erro
 	return s, nil
 }
 
+// fire is the event queue's handler: the one switch that routes every
+// event kind to the component that runs it.
+func (s *Simulator) fire(c uint64, ev event.Event) {
+	h := uint32(ev.Arg)
+	switch ev.Kind {
+	case event.DRAMDispatch:
+		s.mem.Dispatch(int(ev.Unit), c)
+	case event.DRAMRetry:
+		s.mem.Retry(int(ev.Unit), int(ev.Arg), c)
+	case event.WalkStep:
+		s.walker.Step(ev.Unit, c)
+	case event.WalkFill:
+		s.pwc.Fill(vmem.PhysAddr(ev.Arg))
+		s.walker.Step(ev.Unit, c)
+	case event.L2Lookup:
+		s.l2Lookup(h, c)
+	case event.Resident:
+		s.resident(h, c)
+	case event.Complete:
+		s.complete(h, c)
+	case event.L1Fill:
+		s.sms[ev.Unit].l1cache.CompleteMiss(vmem.PhysAddr(ev.Arg), c, s.q)
+	case event.L2Fill:
+		s.l2c.CompleteMiss(vmem.PhysAddr(ev.Arg), c, s.q)
+	case event.FaultLanded, event.PageIn, event.PageOut:
+		s.mgr.Handle(c, ev)
+	case event.DeallocPoll:
+		s.pollDealloc(c)
+	}
+}
+
 // walkAccess is the walker's memory path: one PTE read per call. A
 // dedicated page-walk cache (Power et al.) intercepts reads before the
-// memory system when configured. It is a method (not a closure over New's
-// locals) so Fork can hand a forked walker the forked simulator's path.
-func (s *Simulator) walkAccess(now uint64, addr vmem.PhysAddr, level int, done func(uint64)) {
+// memory system when configured; a miss fills it on the way back
+// (WalkFill). It is a method (not a closure over New's locals) so Fork
+// can hand a forked walker the forked simulator's path.
+func (s *Simulator) walkAccess(now uint64, addr vmem.PhysAddr, level int, done event.Event) {
 	if s.pwc != nil {
 		if s.pwc.Lookup(addr) {
 			s.q.Schedule(now+uint64(s.cfg.PageWalkCacheLatency), done)
 			return
 		}
-		pwc, inner := s.pwc, done
-		done = func(c uint64) {
-			pwc.Fill(addr)
-			inner(c)
-		}
+		done = event.Event{Kind: event.WalkFill, Unit: done.Unit, Arg: uint64(addr)}
 	}
 	// Upper-level PTEs cover huge ranges and stay hot in the L2
 	// cache even at unscaled working sets; leaf PTEs thrash. With
@@ -535,9 +553,9 @@ func (s *Simulator) setupApps() error {
 // Run executes the simulation to completion (or MaxCycles) and returns
 // the results. It must be called once. When Options.SnapshotWarmup is set
 // and the warmup phase has not yet run (i.e. the simulator was not forked
-// from a warmed snapshot), Run performs the warmup-then-quiesce prefix
-// first, so server- and CLI-side runs of the same plan agree regardless
-// of whether they went through Snapshot/Fork.
+// from a warmed snapshot), Run performs the warmup prefix first, so
+// server- and CLI-side runs of the same plan agree regardless of whether
+// they went through Snapshot/Fork.
 func (s *Simulator) Run() (Results, error) {
 	if s.frozen {
 		return Results{}, errors.New("sim: Run on a frozen (snapshotted) simulator; Fork it instead")
@@ -566,17 +584,8 @@ func (s *Simulator) start() {
 		// Dealloc polling rides the event queue so idle fast-forward can
 		// never starve it (it used to key off s.cycle&0x1FFF == 0, which
 		// fast-forward could jump straight over).
-		s.deallocPoll = s.pollDealloc
-		s.schedulePoll(deallocPollPeriod)
+		s.q.Schedule(deallocPollPeriod, event.Event{Kind: event.DeallocPoll})
 	}
-}
-
-// schedulePoll arms the dealloc poll for cycle at, tracking the pending
-// registration so quiesce and Fork can account for it.
-func (s *Simulator) schedulePoll(at uint64) {
-	s.pollPending = true
-	s.pollAt = at
-	s.q.Schedule(at, s.deallocPoll)
 }
 
 // runUntil drives the main loop while applications remain live and the
@@ -664,7 +673,6 @@ const deallocPollPeriod = 0x2000
 // on the event queue until every app has either deallocated or completed,
 // so the poll fires even through idle fast-forward.
 func (s *Simulator) pollDealloc(c uint64) {
-	s.pollPending = false
 	pending := false
 	for _, app := range s.apps {
 		if app.deallocDone || app.completed {
@@ -697,7 +705,7 @@ func (s *Simulator) pollDealloc(c uint64) {
 		}
 	}
 	if pending {
-		s.schedulePoll(c + deallocPollPeriod)
+		s.q.Schedule(c+deallocPollPeriod, event.Event{Kind: event.DeallocPoll})
 	}
 }
 

@@ -1,20 +1,15 @@
 package sim
 
-// Snapshot/fork support: capture a warmed, quiesced simulator once and
-// fork independent copies that diverge per sweep cell. A 20-cell TLB
-// sweep whose cells share a warmup prefix pays for that prefix once
-// instead of 20 times; every fork replays the remainder of the run with
+// Snapshot/fork support: capture a warmed simulator once and fork
+// independent copies that diverge per sweep cell. A 20-cell TLB sweep
+// whose cells share a warmup prefix pays for that prefix once instead of
+// 20 times; every fork replays the remainder of the run with
 // byte-identical results to a cold two-phase run of the same plan.
 //
-// The design works around one hard constraint: the event queue, DRAM
-// banks, I/O bus, page-table walker, and cache MSHRs all hold
-// continuation closures bound to the source simulator, and closures
-// cannot be deep-copied. So a snapshot is only taken at a quiesce point
-// — instruction issue frozen, every in-flight event drained — where all
-// of that state is empty by construction. The one exception is the
-// dealloc poll, which re-arms itself forever; it is tracked explicitly
-// (pollPending/pollAt) and re-scheduled freshly bound on each fork's
-// queue.
+// Events are data, so a snapshot can be taken at any cycle: the event
+// queue, DRAM channel queues, MSHR tables, walker slots, pager queues,
+// and the request table are plain values that Fork copies together with
+// the rest of the engine, in-flight work included.
 
 import (
 	"errors"
@@ -26,13 +21,12 @@ import (
 )
 
 // RunWarmup executes the shared warmup prefix: it drives the run plan to
-// (at least) Options.SnapshotWarmup cycles, then quiesces — instruction
-// issue stops and the event queue drains until only the self-re-arming
-// dealloc poll (if armed) remains. After RunWarmup the simulator is at a
-// closure-free point where Snapshot can capture it; calling Run next
-// executes the remainder of the plan. RunWarmup is idempotent and is
-// invoked automatically by Run when SnapshotWarmup is set, so cold runs
-// of a two-phase plan follow exactly the same trajectory as forked ones.
+// (at least) Options.SnapshotWarmup cycles and stops there, with whatever
+// work is in flight left in flight. Snapshot can capture the simulator at
+// that point; calling Run next executes the remainder of the plan.
+// RunWarmup is idempotent and is invoked automatically by Run when
+// SnapshotWarmup is set, so cold runs of a two-phase plan follow exactly
+// the same trajectory as forked ones.
 func (s *Simulator) RunWarmup() error {
 	if s.frozen {
 		return errors.New("sim: RunWarmup on a frozen (snapshotted) simulator")
@@ -51,58 +45,13 @@ func (s *Simulator) RunWarmup() error {
 	if err := s.runUntil(bound); err != nil {
 		return err
 	}
-	if err := s.quiesce(); err != nil {
-		return err
-	}
 	s.warmupDone = true
 	return nil
 }
 
-// quiesce drains the event queue with instruction issue frozen: it
-// advances the clock from event to event, running each, until the only
-// remaining event is the tracked dealloc poll (or the queue is empty).
-// Warps whose memory accesses complete during the drain become ready but
-// do not issue; they resume in cycle order when runUntil continues.
-func (s *Simulator) quiesce() error {
-	// Each drained event can schedule successors (a DRAM access completes
-	// and wakes a queued one), so the drain is a loop, not a single pass.
-	// The bound is a safety net: a healthy queue reaches the poll-only
-	// state in far fewer steps than this.
-	const maxSteps = 1 << 26
-	for steps := 0; ; steps++ {
-		want := 0
-		if s.pollPending {
-			// The poll re-arms itself, so it is the one event that may
-			// (and must) survive the drain. pollPending implies the poll
-			// is on the queue, so a queue of length 1 holds only it.
-			want = 1
-		}
-		if s.q.Len() <= want {
-			break
-		}
-		if steps >= maxSteps {
-			return fmt.Errorf("sim: quiesce did not drain at cycle %d (%d events pending)", s.cycle, s.q.Len())
-		}
-		next, ok := s.q.NextCycle()
-		if !ok {
-			return errors.New("sim: quiesce: queue length and contents disagree")
-		}
-		if next > s.cycle {
-			s.cycle = next
-		}
-		s.q.RunDue(s.cycle)
-		s.cycle++
-	}
-	return nil
-}
-
-// Snapshot captures the simulator at its warmup quiesce point and
-// freezes it: the source must not run further, because forks share its
-// state only by copying it at capture time. Snapshot validates that the
-// engine really is quiescent — event queue drained to at most the
-// tracked dealloc poll, walker idle, DRAM and caches with nothing in
-// flight, no warp with outstanding accesses — and returns an error
-// naming the violation otherwise.
+// Snapshot is a frozen, warmed simulator from which independent forks
+// are created. The source must not run further, because forks share its
+// state only by copying it at capture time.
 type Snapshot struct {
 	src *Simulator
 }
@@ -116,57 +65,22 @@ func (s *Simulator) Snapshot() (*Snapshot, error) {
 	if !s.warmupDone {
 		return nil, errors.New("sim: Snapshot before RunWarmup completed")
 	}
-	want := 0
-	if s.pollPending {
-		want = 1
-		if s.pollAt <= s.cycle {
-			return nil, fmt.Errorf("sim: Snapshot with overdue dealloc poll (at %d, cycle %d)", s.pollAt, s.cycle)
-		}
-	}
-	if n := s.q.Len(); n != want {
-		return nil, fmt.Errorf("sim: Snapshot with %d pending events (want %d)", n, want)
-	}
-	if s.walker.Active() != 0 || s.walker.Queued() != 0 {
-		return nil, fmt.Errorf("sim: Snapshot with %d active / %d queued page walks", s.walker.Active(), s.walker.Queued())
-	}
-	if n := s.mem.PendingRequests(); n != 0 {
-		return nil, fmt.Errorf("sim: Snapshot with %d pending DRAM requests", n)
-	}
-	if n := s.l2c.InFlight(); n != 0 {
-		return nil, fmt.Errorf("sim: Snapshot with %d in-flight L2 cache misses", n)
-	}
-	if s.pwc != nil {
-		if n := s.pwc.InFlight(); n != 0 {
-			return nil, fmt.Errorf("sim: Snapshot with %d in-flight walk-cache misses", n)
-		}
-	}
-	for _, m := range s.sms {
-		if n := m.l1cache.InFlight(); n != 0 {
-			return nil, fmt.Errorf("sim: Snapshot with %d in-flight L1 cache misses on SM %d", n, m.id)
-		}
-		for _, w := range m.warps {
-			if w.outstanding != 0 {
-				return nil, fmt.Errorf("sim: Snapshot with warp %d/%d holding %d outstanding accesses", m.id, w.idx, w.outstanding)
-			}
-		}
-	}
 	s.frozen = true
 	return &Snapshot{src: s}, nil
 }
 
 // Fork builds an independent simulator that resumes from the snapshot
 // point. The fork shares nothing mutable with the source or with other
-// forks — every map, slice, page table, allocator free list, TLB array,
-// cache tag store, RNG stream, and the pager's LRU list is deep-copied —
-// so forks may run concurrently on different goroutines. Fork itself is
+// forks — the event queue, every in-flight request, map, slice, page
+// table, allocator free list, TLB array, cache tag store and MSHR table,
+// RNG stream, and the pager's queues and LRU list are deep-copied — so
+// forks may run concurrently on different goroutines. Fork itself is
 // also safe to call concurrently: the frozen source is only read.
 //
-// The forked run continues the source's (cycle, seq) event ordering: the
-// fork's queue starts empty but inherits the sequence counter, and the
-// dealloc poll (if armed) is re-scheduled freshly bound to the fork, so
-// it sorts before any later-scheduled event exactly as the source's poll
-// would have. RunRecords of a forked run are therefore byte-identical to
-// a cold run of the same two-phase plan.
+// The fork's queue holds the source's pending events in the source's
+// (cycle, seq) order and continues its sequence counter, so RunRecords
+// of a forked run are byte-identical to a cold run of the same two-phase
+// plan.
 func (sn *Snapshot) Fork() *Simulator {
 	s := sn.src
 	ns := &Simulator{
@@ -178,15 +92,18 @@ func (sn *Snapshot) Fork() *Simulator {
 		cycle:    s.cycle,
 		liveApps: s.liveApps,
 
-		pollPending: false, // re-armed below if the source's poll was
-		started:     s.started,
-		warmupDone:  true,
+		started:    s.started,
+		warmupDone: true,
+
+		reqs:    append([]memReq(nil), s.reqs...),
+		reqFree: append([]uint32(nil), s.reqFree...),
 
 		l1Req: s.l1Req, l1Hit: s.l1Hit,
 		l2Req: s.l2Req, l2Hit: s.l2Hit,
 		trFaults: s.trFaults,
 	}
-	ns.q = s.q.CloneEmpty()
+	ns.q = s.q.Clone()
+	ns.q.SetHandler(ns.fire)
 	ns.bus = s.bus.Clone(ns.q)
 	ns.mem = s.mem.Clone(ns.q)
 	ns.mgr = s.mgr.Clone(ns.q, ns.bus, ns.mem)
@@ -200,7 +117,7 @@ func (sn *Snapshot) Fork() *Simulator {
 	if s.pwc != nil {
 		ns.pwc = s.pwc.Clone()
 	}
-	ns.walker = s.walker.Clone(ns.mgr, ns.walkAccess)
+	ns.walker = s.walker.Clone(ns.mgr, ns.walkAccess, ns.walkDone)
 	ns.bindFlushHooks()
 
 	appOf := make(map[*appRun]*appRun, len(s.apps))
@@ -246,11 +163,6 @@ func (sn *Snapshot) Fork() *Simulator {
 		}
 		nm.app.sms = append(nm.app.sms, nm)
 		ns.sms = append(ns.sms, nm)
-	}
-
-	if s.pollPending {
-		ns.deallocPoll = ns.pollDealloc
-		ns.schedulePoll(s.pollAt)
 	}
 	return ns
 }

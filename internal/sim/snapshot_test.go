@@ -2,7 +2,7 @@ package sim_test
 
 // Fork-vs-cold determinism suite: a forked run must be byte-identical —
 // at RunRecord granularity, the same representation the metrics fixtures
-// pin — to a cold run of the same two-phase (warmup, quiesce, measure)
+// pin — to a cold run of the same two-phase (warmup, snapshot, measure)
 // plan. The suite covers all four compared policies, unbounded and
 // oversubscribed residency, reconfigured and baseline cells, the dealloc
 // poll crossing the snapshot, and concurrent forks (meaningful under
@@ -212,8 +212,8 @@ func TestForkFanOutConcurrent(t *testing.T) {
 }
 
 // TestForkWithDeallocPoll crosses the snapshot point with the
-// self-re-arming dealloc poll pending, exercising its re-scheduling on
-// the fork's queue.
+// self-re-arming dealloc poll pending, so the poll travels to the fork
+// in its copy of the event queue.
 func TestForkWithDeallocPoll(t *testing.T) {
 	base := config.FastTest()
 	base.MaxWarpInstructions = 512
@@ -234,8 +234,16 @@ func TestForkWithDeallocPoll(t *testing.T) {
 // TestWarmupDigestSemantics pins the digest rules: SnapshotWarmup
 // participates (a two-phase run is a distinct experiment), zero leaves
 // the pre-existing digest untouched, and Reconfigure chains the cell
-// digest identically however many times the plan is replayed.
+// digest identically however many times the plan is replayed. The
+// literals were recorded when two-phase plans still drained the engine
+// before the snapshot: plain digests must keep theirs, and the current
+// two-phase plan must not collide with the drained one, so no stored
+// result of the old plan is ever served for the new one.
 func TestWarmupDigestSemantics(t *testing.T) {
+	const (
+		plainBefore   = "c142af6d2536792a"
+		drainedBefore = "7e9599fb8351ae6d"
+	)
 	cfg := config.FastTest()
 	plain := sim.Digest(cfg, sim.Options{Policy: core.Mosaic, Seed: 1})
 	warm := sim.Digest(cfg, sim.Options{Policy: core.Mosaic, Seed: 1, SnapshotWarmup: snapWarmup})
@@ -244,6 +252,12 @@ func TestWarmupDigestSemantics(t *testing.T) {
 	}
 	if again := sim.Digest(cfg, sim.Options{Policy: core.Mosaic, Seed: 1}); again != plain {
 		t.Error("zero SnapshotWarmup perturbed the digest")
+	}
+	if plain != plainBefore {
+		t.Errorf("plain digest = %s, want the recorded %s", plain, plainBefore)
+	}
+	if warm == drainedBefore {
+		t.Errorf("two-phase digest %s still equals the drained plan's", warm)
 	}
 }
 

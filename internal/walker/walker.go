@@ -9,6 +9,7 @@ package walker
 import (
 	"math/bits"
 
+	"repro/internal/event"
 	"repro/internal/pagetable"
 	"repro/internal/vmem"
 )
@@ -23,15 +24,17 @@ type TableSet interface {
 	Translate(asid vmem.ASID, va vmem.VirtAddr) (pagetable.Translation, bool)
 }
 
-// AccessFunc performs one memory access of a walk and invokes done at its
+// AccessFunc performs one memory access of a walk and fires done at its
 // completion cycle. level is the page-table level being read (0 = root);
 // the memory system may treat hot upper levels and thrashy leaf levels
-// differently.
-type AccessFunc func(now uint64, addr vmem.PhysAddr, level int, done func(cycle uint64))
+// differently. done is a WalkStep event naming the walk's slot; the
+// memory system may wrap it (as a WalkFill) but must deliver the slot.
+type AccessFunc func(now uint64, addr vmem.PhysAddr, level int, done event.Event)
 
-// DoneFunc receives the walk result. ok is false when the page is not
-// mapped (a page fault: the manager must handle it and retry).
-type DoneFunc func(cycle uint64, tr pagetable.Translation, ok bool)
+// DeliverFunc receives a finished walk's result for one waiter, the
+// event passed to Walk. ok is false when the page is not mapped (a page
+// fault: the manager must handle it and retry).
+type DeliverFunc func(cycle uint64, tr pagetable.Translation, ok bool, waiter event.Event)
 
 type key struct {
 	asid vmem.ASID
@@ -41,6 +44,15 @@ type key struct {
 type request struct {
 	asid vmem.ASID
 	va   vmem.VirtAddr
+}
+
+// walk is one slot's in-flight walk: its start cycle, the request, the
+// PTE addresses it reads, and the index of the next read.
+type walk struct {
+	start uint64
+	req   request
+	addrs []vmem.PhysAddr
+	next  int
 }
 
 // LatencyBuckets is the number of power-of-two walk-latency histogram
@@ -85,69 +97,83 @@ func latencyBucket(lat uint64) int {
 
 // Walker is the shared page table walker. Not safe for concurrent use.
 type Walker struct {
-	slots    int
-	active   int
-	tables   TableSet
-	access   AccessFunc
-	pending  []request
-	inflight map[key][]DoneFunc
+	slots   []walk
+	free    []uint32 // idle slot indices, used as a stack
+	tables  TableSet
+	access  AccessFunc
+	deliver DeliverFunc
+	pending []request
+	// inflight maps a page under walk to the waiters of its result.
+	inflight map[key][]event.Event
 	stats    Stats
 }
 
-// New builds a walker with the given concurrency wired to the table set
-// and the memory access path.
-func New(slots int, tables TableSet, access AccessFunc) *Walker {
+// New builds a walker with the given concurrency wired to the table set,
+// the memory access path, and the sink of walk results.
+func New(slots int, tables TableSet, access AccessFunc, deliver DeliverFunc) *Walker {
 	if slots <= 0 {
 		slots = 1
 	}
-	return &Walker{
-		slots:    slots,
+	w := &Walker{
+		slots:    make([]walk, slots),
+		free:     make([]uint32, slots),
 		tables:   tables,
 		access:   access,
-		inflight: make(map[key][]DoneFunc),
+		deliver:  deliver,
+		inflight: make(map[key][]event.Event),
 	}
+	for i := range w.free {
+		w.free[i] = uint32(slots - 1 - i)
+	}
+	return w
 }
 
-// Clone returns a copy of the walker rebound to a forked simulator's
-// table set and memory access path (both hold references to the owning
-// engine, so the fork must supply its own). It requires the walker to be
-// idle — no active walks, no queued requests, no in-flight coalescing
-// state — because those hold continuation closures bound to the source;
-// Clone panics otherwise. Stats (including the latency histogram) carry
-// over by value.
-func (w *Walker) Clone(tables TableSet, access AccessFunc) *Walker {
-	if w.active != 0 || len(w.pending) != 0 || len(w.inflight) != 0 {
-		panic("walker: Clone while walks are in flight")
-	}
-	return &Walker{
-		slots:    w.slots,
+// Clone returns a copy of the walker — slots, queued requests, coalesced
+// waiters, and stats — rebound to a forked simulator's table set, memory
+// access path, and result sink (all hold references to the owning
+// engine, so the fork must supply its own). The accesses its walks are
+// waiting on travel with the fork's event queue.
+func (w *Walker) Clone(tables TableSet, access AccessFunc, deliver DeliverFunc) *Walker {
+	nw := &Walker{
+		slots:    append([]walk(nil), w.slots...),
+		free:     append([]uint32(nil), w.free...),
 		tables:   tables,
 		access:   access,
-		inflight: make(map[key][]DoneFunc),
+		deliver:  deliver,
+		pending:  append([]request(nil), w.pending...),
+		inflight: make(map[key][]event.Event, len(w.inflight)),
 		stats:    w.stats,
 	}
+	for i := range nw.slots {
+		nw.slots[i].addrs = append([]vmem.PhysAddr(nil), w.slots[i].addrs...)
+	}
+	for k, waiters := range w.inflight {
+		nw.inflight[k] = append([]event.Event(nil), waiters...)
+	}
+	return nw
 }
 
 // Stats returns a snapshot of the counters.
 func (w *Walker) Stats() Stats { return w.stats }
 
 // Active returns the number of walks currently occupying slots.
-func (w *Walker) Active() int { return w.active }
+func (w *Walker) Active() int { return len(w.slots) - len(w.free) }
 
 // Queued returns the number of walk requests waiting for a slot.
 func (w *Walker) Queued() int { return len(w.pending) }
 
-// Walk requests a translation of (asid, va). done always fires exactly
-// once. Requests for a base page with a walk already in flight coalesce.
-func (w *Walker) Walk(now uint64, asid vmem.ASID, va vmem.VirtAddr, done DoneFunc) {
+// Walk requests a translation of (asid, va). The result reaches the
+// sink exactly once with waiter. Requests for a base page with a walk
+// already in flight coalesce.
+func (w *Walker) Walk(now uint64, asid vmem.ASID, va vmem.VirtAddr, waiter event.Event) {
 	k := key{asid, va.BasePageNumber()}
 	if waiters, ok := w.inflight[k]; ok {
-		w.inflight[k] = append(waiters, done)
+		w.inflight[k] = append(waiters, waiter)
 		w.stats.Coalesced++
 		return
 	}
-	w.inflight[k] = []DoneFunc{done}
-	if w.active >= w.slots {
+	w.inflight[k] = []event.Event{waiter}
+	if len(w.free) == 0 {
 		w.pending = append(w.pending, request{asid, va})
 		if len(w.pending) > w.stats.MaxQueued {
 			w.stats.MaxQueued = len(w.pending)
@@ -158,27 +184,31 @@ func (w *Walker) Walk(now uint64, asid vmem.ASID, va vmem.VirtAddr, done DoneFun
 }
 
 func (w *Walker) start(now uint64, r request) {
-	w.active++
+	slot := w.free[len(w.free)-1]
+	w.free = w.free[:len(w.free)-1]
 	w.stats.Walks++
-	addrs := w.tables.WalkAddrs(r.asid, r.va)
-	w.step(now, now, r, addrs, 0)
+	w.slots[slot] = walk{start: now, req: r, addrs: w.tables.WalkAddrs(r.asid, r.va)}
+	w.Step(slot, now)
 }
 
-// step issues the i-th dependent PTE access; when the chain ends it
-// completes the walk.
-func (w *Walker) step(start, now uint64, r request, addrs []vmem.PhysAddr, i int) {
-	if i >= len(addrs) {
-		w.finish(start, now, r)
+// Step issues slot's next dependent PTE access; when the chain ends it
+// completes the walk. WalkStep events run it.
+func (w *Walker) Step(slot uint32, now uint64) {
+	wk := &w.slots[slot]
+	if wk.next >= len(wk.addrs) {
+		w.finish(slot, now)
 		return
 	}
+	i := wk.next
+	wk.next++
 	w.stats.MemoryAccesses++
-	w.access(now, addrs[i], i, func(cycle uint64) {
-		w.step(start, cycle, r, addrs, i+1)
-	})
+	w.access(now, wk.addrs[i], i, event.Event{Kind: event.WalkStep, Unit: slot})
 }
 
-func (w *Walker) finish(start, now uint64, r request) {
-	w.active--
+func (w *Walker) finish(slot uint32, now uint64) {
+	start, r := w.slots[slot].start, w.slots[slot].req
+	w.slots[slot] = walk{}
+	w.free = append(w.free, slot)
 	w.stats.TotalLatency += now - start
 	w.stats.LatencyHist[latencyBucket(now-start)]++
 	tr, ok := w.tables.Translate(r.asid, r.va)
@@ -190,14 +220,12 @@ func (w *Walker) finish(start, now uint64, r request) {
 	delete(w.inflight, k)
 	// Start a queued walk before delivering results so the freed slot is
 	// reused this cycle.
-	if len(w.pending) > 0 && w.active < w.slots {
+	if len(w.pending) > 0 {
 		next := w.pending[0]
 		w.pending = w.pending[1:]
 		w.start(now, next)
 	}
-	for _, d := range waiters {
-		if d != nil {
-			d(now, tr, ok)
-		}
+	for _, ev := range waiters {
+		w.deliver(now, tr, ok, ev)
 	}
 }

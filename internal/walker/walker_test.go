@@ -39,11 +39,31 @@ func (f *fakeTables) Translate(asid vmem.ASID, va vmem.VirtAddr) (pagetable.Tran
 	return f.table(asid).Translate(va)
 }
 
-// fixedAccess completes every memory access after lat cycles via the event
-// queue.
-func fixedAccess(q *event.Queue, lat uint64) AccessFunc {
-	return func(now uint64, _ vmem.PhysAddr, _ int, done func(uint64)) {
+// newWalker builds a walker whose every memory access completes after
+// lat cycles via q, which routes WalkStep events back to the walker.
+func newWalker(q *event.Queue, slots int, tables TableSet, lat uint64) *Walker {
+	access := func(now uint64, _ vmem.PhysAddr, _ int, done event.Event) {
 		q.Schedule(now+lat, done)
+	}
+	w := New(slots, tables, access, deliver)
+	q.SetHandler(func(c uint64, ev event.Event) { w.Step(ev.Unit, c) })
+	return w
+}
+
+// testDone marks a waiter that runs results[Arg].
+const testDone event.Kind = 255
+
+var results []func(uint64, pagetable.Translation, bool)
+
+// on registers fn as a walk waiter.
+func on(fn func(uint64, pagetable.Translation, bool)) event.Event {
+	results = append(results, fn)
+	return event.Event{Kind: testDone, Arg: uint64(len(results) - 1)}
+}
+
+func deliver(c uint64, tr pagetable.Translation, ok bool, waiter event.Event) {
+	if waiter.Kind == testDone {
+		results[waiter.Arg](c, tr, ok)
 	}
 }
 
@@ -61,14 +81,14 @@ func TestWalkResolvesMapping(t *testing.T) {
 	q := &event.Queue{}
 	ft := newFakeTables()
 	ft.table(1).Map(0x5000, 0x9000)
-	w := New(64, ft, fixedAccess(q, 10))
+	w := newWalker(q, 64, ft, 10)
 
 	var gotTr pagetable.Translation
 	var gotOK bool
 	var doneAt uint64
-	w.Walk(0, 1, 0x5000, func(c uint64, tr pagetable.Translation, ok bool) {
+	w.Walk(0, 1, 0x5000, on(func(c uint64, tr pagetable.Translation, ok bool) {
 		doneAt, gotTr, gotOK = c, tr, ok
-	})
+	}))
 	drain(q)
 	if !gotOK {
 		t.Fatal("walk faulted on a mapped page")
@@ -87,9 +107,9 @@ func TestWalkResolvesMapping(t *testing.T) {
 
 func TestWalkFaultsOnUnmapped(t *testing.T) {
 	q := &event.Queue{}
-	w := New(64, newFakeTables(), fixedAccess(q, 1))
+	w := newWalker(q, 64, newFakeTables(), 1)
 	var gotOK = true
-	w.Walk(0, 1, 0x5000, func(_ uint64, _ pagetable.Translation, ok bool) { gotOK = ok })
+	w.Walk(0, 1, 0x5000, on(func(_ uint64, _ pagetable.Translation, ok bool) { gotOK = ok }))
 	drain(q)
 	if gotOK {
 		t.Error("walk of unmapped page reported success")
@@ -103,11 +123,11 @@ func TestDuplicateWalksCoalesce(t *testing.T) {
 	q := &event.Queue{}
 	ft := newFakeTables()
 	ft.table(1).Map(0x5000, 0x9000)
-	w := New(64, ft, fixedAccess(q, 10))
+	w := newWalker(q, 64, ft, 10)
 
 	fired := 0
 	for i := 0; i < 5; i++ {
-		w.Walk(0, 1, 0x5123, func(uint64, pagetable.Translation, bool) { fired++ })
+		w.Walk(0, 1, 0x5123, on(func(uint64, pagetable.Translation, bool) { fired++ }))
 	}
 	drain(q)
 	if fired != 5 {
@@ -127,9 +147,9 @@ func TestDifferentASIDsDoNotCoalesce(t *testing.T) {
 	ft := newFakeTables()
 	ft.table(1).Map(0x5000, 0x9000)
 	ft.table(2).Map(0x5000, 0xA000)
-	w := New(64, ft, fixedAccess(q, 1))
-	w.Walk(0, 1, 0x5000, nil)
-	w.Walk(0, 2, 0x5000, nil)
+	w := newWalker(q, 64, ft, 1)
+	w.Walk(0, 1, 0x5000, event.Event{})
+	w.Walk(0, 2, 0x5000, event.Event{})
 	drain(q)
 	if w.Stats().Walks != 2 {
 		t.Errorf("Walks = %d, want 2", w.Stats().Walks)
@@ -142,12 +162,12 @@ func TestSlotLimitQueues(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		ft.table(1).Map(vmem.VirtAddr(i*vmem.BasePageSize), vmem.PhysAddr(i*vmem.BasePageSize))
 	}
-	w := New(2, ft, fixedAccess(q, 10))
+	w := newWalker(q, 2, ft, 10)
 	var finishes []uint64
 	for i := 0; i < 4; i++ {
-		w.Walk(0, 1, vmem.VirtAddr(i*vmem.BasePageSize), func(c uint64, _ pagetable.Translation, _ bool) {
+		w.Walk(0, 1, vmem.VirtAddr(i*vmem.BasePageSize), on(func(c uint64, _ pagetable.Translation, _ bool) {
 			finishes = append(finishes, c)
-		})
+		}))
 	}
 	if w.Active() != 2 || w.Queued() != 2 {
 		t.Errorf("active=%d queued=%d, want 2/2", w.Active(), w.Queued())
@@ -178,14 +198,14 @@ func TestCoalescedRegionWalk(t *testing.T) {
 	if err := pt.Coalesce(0); err != nil {
 		t.Fatal(err)
 	}
-	w := New(64, ft, fixedAccess(q, 5))
+	w := newWalker(q, 64, ft, 5)
 	var gotTr pagetable.Translation
-	w.Walk(0, 3, vmem.VirtAddr(300*vmem.BasePageSize+17), func(_ uint64, tr pagetable.Translation, ok bool) {
+	w.Walk(0, 3, vmem.VirtAddr(300*vmem.BasePageSize+17), on(func(_ uint64, tr pagetable.Translation, ok bool) {
 		if !ok {
 			t.Error("coalesced walk faulted")
 		}
 		gotTr = tr
-	})
+	}))
 	drain(q)
 	if gotTr.Size != vmem.Large || gotTr.Frame != 2<<21 {
 		t.Errorf("translation = %+v, want large frame at 4MiB", gotTr)
@@ -201,10 +221,10 @@ func TestLatencyHistogram(t *testing.T) {
 	ft := newFakeTables()
 	ft.table(1).Map(0, 0)
 	ft.table(1).Map(vmem.BasePageSize, vmem.BasePageSize)
-	w := New(64, ft, fixedAccess(q, 25))
-	w.Walk(0, 1, 0, nil)
+	w := newWalker(q, 64, ft, 25)
+	w.Walk(0, 1, 0, event.Event{})
 	drain(q)
-	w.Walk(0, 1, vmem.VirtAddr(vmem.BasePageSize), nil)
+	w.Walk(0, 1, vmem.VirtAddr(vmem.BasePageSize), event.Event{})
 	drain(q)
 	s := w.Stats()
 	var sum uint64
@@ -241,8 +261,8 @@ func TestAvgLatency(t *testing.T) {
 	q := &event.Queue{}
 	ft := newFakeTables()
 	ft.table(1).Map(0, 0)
-	w := New(64, ft, fixedAccess(q, 25))
-	w.Walk(0, 1, 0, nil)
+	w := newWalker(q, 64, ft, 25)
+	w.Walk(0, 1, 0, event.Event{})
 	drain(q)
 	if got := w.Stats().AvgLatency(); got != 100 {
 		t.Errorf("AvgLatency = %f, want 100", got)

@@ -239,9 +239,10 @@ func Run(cfg Config, wl Workload, opt SimOptions) (Results, error) {
 // cell from the shared warmed state.
 type Simulator = sim.Simulator
 
-// SimSnapshot is a frozen, warmed simulator captured at its quiesce
-// point; Fork creates independent engines that resume from it. Forked
-// runs are byte-identical to cold two-phase runs of the same plan.
+// SimSnapshot is a frozen, warmed simulator captured at the end of its
+// warmup prefix, in-flight work included; Fork creates independent
+// engines that resume from it. Forked runs are byte-identical to cold
+// two-phase runs of the same plan.
 type SimSnapshot = sim.Snapshot
 
 // NewSimulator builds a simulation engine without running it — the entry
