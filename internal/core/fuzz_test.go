@@ -72,6 +72,7 @@ func FuzzPolicyConfig(f *testing.F) {
 		if err := sys.RegisterApp(asid); err != nil {
 			t.Fatalf("RegisterApp: %v", err)
 		}
+		defer checkPagerConservation(t, sys)
 		pages := uint64(allocPages%4096) + 1
 		if err := sys.AllocVirtual(0, asid, 0, pages*vmem.BasePageSize); err != nil {
 			return // pool exhaustion is a typed error, not a failure
@@ -83,9 +84,7 @@ func FuzzPolicyConfig(f *testing.F) {
 			if pg%64 == 0 {
 				drain()
 			}
-			if cfg.MaxResidentPages > 0 && sys.ResidentPages() > cfg.MaxResidentPages {
-				t.Fatalf("residency %d exceeds budget %d", sys.ResidentPages(), cfg.MaxResidentPages)
-			}
+			checkPagerConservation(t, sys)
 		}
 		drain()
 		freePages := pages * uint64(freeFrac) / 255

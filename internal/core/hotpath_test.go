@@ -8,13 +8,13 @@ import (
 	"repro/internal/vmem"
 )
 
-// pagedRig builds a Mosaic system with a bounded residency budget and
-// warms it: one app, a working set larger than the budget, every faulted
-// unit landed. The returned rig has a live pager in steady state.
-func pagedRig(t *testing.T) *testRig {
+// pagedRig builds a Mosaic system with the given residency budget (0:
+// unbounded) and warms it: one app, eight 2MB regions, the first page of
+// each faulted and landed. The returned rig has a pager in steady state.
+func pagedRig(t *testing.T, budget uint64) *testRig {
 	t.Helper()
 	r := newRig(t, Mosaic, func(cfg *config.Config, opt *Options) {
-		cfg.MaxResidentPages = 4 * vmem.BasePagesPerLarge // four 2MB frames
+		cfg.MaxResidentPages = budget
 	})
 	if err := r.sys.RegisterApp(1); err != nil {
 		t.Fatal(err)
@@ -28,8 +28,8 @@ func pagedRig(t *testing.T) *testRig {
 		now += 1000
 		r.drain()
 	}
-	if r.sys.pager == nil {
-		t.Fatal("bounded config did not build a pager")
+	if (r.sys.pager.res != nil) != (budget > 0) {
+		t.Fatalf("budget %d built a pager with residency policy %v", budget, r.sys.pager.res)
 	}
 	return r
 }
@@ -40,7 +40,7 @@ func pagedRig(t *testing.T) *testRig {
 // These interface calls sit on the translate/fault hot path, so a policy
 // implementation that allocates per query would show up in every run.
 func TestPolicySeamDispatchAllocFree(t *testing.T) {
-	r := pagedRig(t)
+	r := pagedRig(t, 4*vmem.BasePagesPerLarge) // four 2MB frames
 	s := r.sys
 	p := s.pager
 	e := p.res.Victim()
@@ -63,26 +63,23 @@ func TestPolicySeamDispatchAllocFree(t *testing.T) {
 }
 
 // TestPagerResidentHitAllocFree guards the pager's warm path: touching an
-// already-resident page goes through ResidencyPolicy.Touch (an intrusive
-// list requeue) and must not allocate.
+// already-resident page — through ResidencyPolicy.Touch (an intrusive
+// list requeue) under a budget, a table lookup alone without one — must
+// not allocate.
 func TestPagerResidentHitAllocFree(t *testing.T) {
-	r := pagedRig(t)
-	s := r.sys
-	// Find a resident address: the victim queue's back entry is resident.
-	e := s.pager.res.Victim()
-	if e == nil {
-		t.Fatal("warm pager has no victim")
-	}
-	va := e.VA()
-	if !s.EnsureResident(1<<20, 1, va, event.Event{}) {
-		t.Fatal("victim entry not resident")
-	}
-	if avg := testing.AllocsPerRun(200, func() {
+	for _, budget := range []uint64{4 * vmem.BasePagesPerLarge, 0} {
+		s := pagedRig(t, budget).sys
+		va := vmem.VirtAddr(vmem.LargePageSize) // faulted and landed by pagedRig
 		if !s.EnsureResident(1<<20, 1, va, event.Event{}) {
-			t.Fatal("page fell out of residency during warm loop")
+			t.Fatalf("budget %d: warmed page not resident", budget)
 		}
-	}); avg != 0 {
-		t.Fatalf("resident-hit fault path allocates %.1f objects/op, want 0", avg)
+		if avg := testing.AllocsPerRun(200, func() {
+			if !s.EnsureResident(1<<20, 1, va, event.Event{}) {
+				t.Fatal("page fell out of residency during warm loop")
+			}
+		}); avg != 0 {
+			t.Fatalf("budget %d: resident-hit fault path allocates %.1f objects/op, want 0", budget, avg)
+		}
 	}
 }
 

@@ -1,15 +1,18 @@
 package core
 
 import (
+	"math"
+
 	"repro/internal/event"
 	"repro/internal/trace"
 	"repro/internal/vmem"
 )
 
-// This file implements the bounded-residency demand-paging tier: when
-// Config.MaxResidentPages caps how many 4KB base pages may live in GPU
-// memory at once, faults beyond the budget evict least-recently-used
-// victims to a host/CXL remote tier across the I/O bus. Victim
+// This file implements demand paging: a far-fault moves its page over the
+// serialized I/O bus, and the pager's region-indexed table is the one
+// record of residency. When Config.MaxResidentPages caps how many 4KB base
+// pages may live in GPU memory at once, faults beyond the budget evict
+// least-recently-used victims to a host/CXL remote tier. Victim
 // granularity follows the manager's fault granularity — 4KB pages for the
 // GPU-MMU baseline and Mosaic, whole 2MB frames for the 2MB-only manager
 // (and for Mosaic when the victim belongs to a coalesced region, the
@@ -17,8 +20,7 @@ import (
 // write back over the bus before their frame can be reused; the bus is
 // FIFO, so a page-in issued after a write-back queues behind it and the
 // outbound data is on the host before the inbound data lands. Evicted
-// pages re-fault at bus latency. Under a bound, the pager's region-indexed
-// table is the only record of residency.
+// pages re-fault at bus latency.
 //
 // Residency is admission-controlled: a fault that cannot fit — even after
 // evicting every resident victim — joins a FIFO fault queue and is
@@ -47,14 +49,11 @@ const (
 // PageEntry is the pager's record of one paged unit — the value a
 // ResidencyPolicy orders for victim selection. Entries carry intrusive
 // list links so policies built on ResidencyQueue never allocate per
-// operation.
+// operation. The small fields come first so an entry packs into 72 bytes.
 type PageEntry struct {
 	asid  vmem.ASID
-	key   uint64 // faultKey: base or large page number
-	va    vmem.VirtAddr
 	state pageState
 	dirty bool
-	pages uint64 // base pages covered: 1, or 512 under FaultLarge
 	// evicted marks entries that left GPU memory at least once, so their
 	// next fault counts as a refault.
 	evicted bool
@@ -62,6 +61,9 @@ type PageEntry struct {
 	// transfer was still in flight; the completion must not resurrect
 	// them (their budget was already released).
 	freed   bool
+	key     uint64 // faultKey: base or large page number
+	va      vmem.VirtAddr
+	pages   uint64 // base pages covered: 1, or 512 under FaultLarge
 	waiters []event.Event
 	// Intrusive residency-queue links (only meaningful while resident).
 	prev, next *PageEntry
@@ -98,41 +100,66 @@ type pageRegion struct {
 // regionKey packs an application's 2MB region into one map key.
 func regionKey(asid vmem.ASID, largePN uint64) uint64 { return uint64(asid)<<48 | largePN }
 
-// pager tracks residency against the budget. It is created only when the
-// configuration bounds residency; a nil pager leaves the pre-existing
-// unbounded fault path untouched.
+// pager tracks every demand-paged unit. Without a residency bound its
+// budget is infinite, so admission never queues or evicts, and res is
+// nil, so no victim order or dirty data is kept.
 type pager struct {
 	s       *System
-	budget  uint64 // MaxResidentPages, in base pages
-	used    uint64 // base pages resident or committed to pending faults
+	size    vmem.PageSize // every unit's size: the fault granularity
+	budget  uint64        // MaxResidentPages in base pages, or MaxUint64
+	used    uint64        // base pages resident or committed to pending faults
 	regions map[uint64]*pageRegion
+	// chunk holds zeroed entries that new units are carved from, so
+	// faulting costs one allocation per len(chunk) units, not one each.
+	chunk []PageEntry
 	// queued is the FIFO admission queue of faults waiting for capacity.
 	queued []*PageEntry
 	// pageIns holds the entries whose page-in transfer is on the bus, and
 	// writeBacks the victim groups whose write-back is, each in issue
-	// order. Every page-in of one pager has the same size, and the bus
-	// finishes write-backs in issue order, so each PageIn or PageOut
-	// event completes the oldest entry of its queue.
+	// order. Every page-in of one pager has the same size, so the bus
+	// finishes page-ins, like write-backs, in issue order, and each PageIn
+	// or PageOut event completes the oldest entry of its queue.
 	pageIns    []*PageEntry
 	writeBacks [][]*PageEntry
 	// res orders resident entries for victim selection (the policy's
-	// ResidencyPolicy; LRU by default).
+	// ResidencyPolicy; LRU by default), or is nil when unbounded.
 	res ResidencyPolicy
 }
 
 func newPager(s *System) *pager {
-	return &pager{
-		s:       s,
-		budget:  s.cfg.MaxResidentPages,
-		regions: make(map[uint64]*pageRegion),
-		res:     s.newRes(),
+	p := &pager{s: s, size: vmem.Base, budget: math.MaxUint64, regions: make(map[uint64]*pageRegion)}
+	if s.fill.LargeFill() {
+		p.size = vmem.Large
 	}
+	// The ideal TLB stands in for a system unconstrained by memory
+	// management, so it is exempt from the residency bound too.
+	if s.cfg.MaxResidentPages > 0 && !s.fill.Bypass() {
+		p.budget, p.res = s.cfg.MaxResidentPages, s.newRes()
+	}
+	return p
+}
+
+// newEntry returns a zeroed entry carved off the current chunk.
+func (p *pager) newEntry() *PageEntry {
+	if len(p.chunk) == 0 {
+		p.chunk = make([]PageEntry, 64)
+	}
+	e := &p.chunk[0]
+	p.chunk = p.chunk[1:]
+	return e
+}
+
+func (p *pager) faultKey(va vmem.VirtAddr) uint64 {
+	if p.size == vmem.Large {
+		return va.LargePageNumber()
+	}
+	return va.BasePageNumber()
 }
 
 // locate returns the table key, region (nil if absent) and slot of a unit.
 func (p *pager) locate(asid vmem.ASID, key uint64) (uint64, *pageRegion, int) {
 	rk, i := regionKey(asid, key/vmem.BasePagesPerLarge), int(key%vmem.BasePagesPerLarge)
-	if p.s.fill.LargeFill() {
+	if p.size == vmem.Large {
 		rk, i = regionKey(asid, key), 0
 	}
 	return rk, p.regions[rk], i
@@ -164,16 +191,22 @@ func (p *pager) insert(e *PageEntry) {
 // cloned over the copies in the exact victim order of the source, so the
 // fork's next eviction picks the same victim the source would have.
 func (p *pager) clone(ns *System) *pager {
+	np := &pager{
+		s:       ns,
+		size:    p.size,
+		budget:  p.budget,
+		used:    p.used,
+		regions: make(map[uint64]*pageRegion, len(p.regions)),
+	}
 	copies := make(map[*PageEntry]*PageEntry)
 	cp := func(e *PageEntry) *PageEntry {
 		if n, ok := copies[e]; ok {
 			return n
 		}
-		n := &PageEntry{
-			asid: e.asid, key: e.key, va: e.va, state: e.state,
-			dirty: e.dirty, pages: e.pages, evicted: e.evicted, freed: e.freed,
-			waiters: append([]event.Event(nil), e.waiters...),
-		}
+		n := np.newEntry()
+		*n = *e
+		n.waiters = append([]event.Event(nil), e.waiters...)
+		n.prev, n.next = nil, nil // the residency policy's clone relinks
 		copies[e] = n
 		return n
 	}
@@ -184,14 +217,8 @@ func (p *pager) clone(ns *System) *pager {
 		}
 		return out
 	}
-	np := &pager{
-		s:       ns,
-		budget:  p.budget,
-		used:    p.used,
-		regions: make(map[uint64]*pageRegion, len(p.regions)),
-		queued:  cpAll(p.queued),
-		pageIns: cpAll(p.pageIns),
-	}
+	np.queued = cpAll(p.queued)
+	np.pageIns = cpAll(p.pageIns)
 	for _, g := range p.writeBacks {
 		np.writeBacks = append(np.writeBacks, cpAll(g))
 	}
@@ -204,7 +231,9 @@ func (p *pager) clone(ns *System) *pager {
 		}
 		np.regions[rk] = nr
 	}
-	np.res = p.res.Clone(cp)
+	if p.res != nil {
+		np.res = p.res.Clone(cp)
+	}
 	return np
 }
 
@@ -217,17 +246,19 @@ func pageDirty(asid vmem.ASID, key uint64) bool {
 	return h&1 == 1
 }
 
-// ensureResident is the bounded-residency fault path, mirroring
-// System.EnsureResident's contract: true means already resident (done
-// does not fire), false means done fires when the page lands.
+// ensureResident is the fault path behind System.EnsureResident: true
+// means already resident (done does not fire), false means done fires
+// when the page lands.
 func (p *pager) ensureResident(now uint64, asid vmem.ASID, va vmem.VirtAddr, done event.Event) bool {
 	s := p.s
-	key := s.faultKey(va)
+	key := p.faultKey(va)
 	e := p.entry(asid, key)
 	if e != nil {
 		switch e.state {
 		case pageResident:
-			p.res.Touch(e)
+			if p.res != nil {
+				p.res.Touch(e)
+			}
 			return true
 		case pageQueued, pagePendingIn:
 			e.waiters = append(e.waiters, done)
@@ -238,10 +269,8 @@ func (p *pager) ensureResident(now uint64, asid vmem.ASID, va vmem.VirtAddr, don
 		// while the write-back drains is safe — the bus is FIFO, so the
 		// page-in transfer queues behind the outbound data.
 	} else {
-		e = &PageEntry{asid: asid, key: key, pages: 1}
-		if s.fill.LargeFill() {
-			e.pages = vmem.BasePagesPerLarge
-		}
+		e = p.newEntry()
+		e.asid, e.key, e.pages = asid, key, p.size.Bytes()/vmem.BasePageSize
 		p.insert(e)
 	}
 	e.va = va.BasePageBase()
@@ -274,19 +303,15 @@ func (p *pager) ensureResident(now uint64, asid vmem.ASID, va vmem.VirtAddr, don
 func (p *pager) issue(now uint64, e *PageEntry) {
 	s := p.s
 	p.used += e.pages
-	if p.used > s.stats.PeakResidentPages {
+	if p.res != nil && p.used > s.stats.PeakResidentPages {
 		s.stats.PeakResidentPages = p.used
 	}
 	e.state = pagePendingIn
-	size := vmem.Base
-	if s.fill.LargeFill() {
-		size = vmem.Large
-	}
 	p.pageIns = append(p.pageIns, e)
-	fin := s.bus.Transfer(now, size, event.Event{Kind: event.PageIn})
+	fin := s.bus.Transfer(now, p.size, event.Event{Kind: event.PageIn})
 	s.trace.Record(trace.Event{
 		Cycle: now, Kind: trace.EvFarFault, ASID: e.asid,
-		VA: e.va, Size: size.Bytes(), Latency: fin - now,
+		VA: e.va, Size: p.size.Bytes(), Latency: fin - now,
 	})
 }
 
@@ -299,8 +324,10 @@ func (p *pager) pageIn(cycle uint64) {
 	e.waiters = nil
 	if !e.freed {
 		e.state = pageResident
-		e.dirty = pageDirty(e.asid, e.key)
-		p.res.Insert(e)
+		if p.res != nil {
+			e.dirty = pageDirty(e.asid, e.key)
+			p.res.Insert(e)
+		}
 	}
 	// The landed page is evictable, so capacity may now exist for
 	// faults the admission queue was holding back.
@@ -357,11 +384,8 @@ func (p *pager) ensureCapacity(now uint64, pages uint64) {
 // moves, and it faults back page by page.
 func (p *pager) evict(now uint64, victim *PageEntry) {
 	s := p.s
-	group := []*PageEntry{victim}
-	size := vmem.Base
-	if s.fill.LargeFill() {
-		size = vmem.Large
-	} else if a, err := s.app(victim.asid); err == nil && a.table.IsCoalesced(victim.va) {
+	group, size := []*PageEntry{victim}, p.size
+	if size == vmem.Base && s.apps[victim.asid].table.IsCoalesced(victim.va) {
 		// Gather every resident sibling of the victim's 2MB region.
 		_, r, _ := p.locate(victim.asid, victim.key)
 		for _, sib := range r.slots {
@@ -433,18 +457,15 @@ func (p *pager) release(asid vmem.ASID, key uint64) {
 		p.used -= e.pages
 	}
 	e.freed = true
-	p.res.Remove(e)
+	if p.res != nil {
+		p.res.Remove(e)
+	}
 	r.slots[slot] = nil
 	if r.live--; r.live == 0 {
 		delete(p.regions, rk)
 	}
 }
 
-// ResidentPages reports the base pages currently counted against the
-// residency budget (resident plus pending-in commitments).
-func (s *System) ResidentPages() uint64 {
-	if s.pager == nil {
-		return 0
-	}
-	return s.pager.used
-}
+// ResidentPages reports the base pages resident or committed to pending
+// faults — the count a residency budget bounds.
+func (s *System) ResidentPages() uint64 { return s.pager.used }

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"encoding/json"
+	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/config"
@@ -31,6 +34,35 @@ func checkPagingInvariants(t *testing.T, r *testRig) {
 	if s.PeakResidentPages > r.cfg.MaxResidentPages {
 		t.Errorf("peak resident pages %d exceed budget %d (admission control breached)",
 			s.PeakResidentPages, r.cfg.MaxResidentPages)
+	}
+	checkPagerConservation(t, r.sys)
+}
+
+// checkPagerConservation asserts the pager's budget accounting at any
+// cycle: used equals the pages of the live table entries that are
+// resident or pending in, never exceeds the budget when one exists, and
+// every page-in on the bus belongs to a pending-in entry.
+func checkPagerConservation(t testing.TB, sys *System) {
+	t.Helper()
+	p := sys.pager
+	var pages uint64
+	for _, r := range p.regions {
+		for _, e := range r.slots {
+			if e != nil && !e.freed && (e.state == pageResident || e.state == pagePendingIn) {
+				pages += e.pages
+			}
+		}
+	}
+	if p.used != pages {
+		t.Errorf("pager used = %d, live resident and pending-in entries hold %d pages", p.used, pages)
+	}
+	if p.used > p.budget {
+		t.Errorf("pager used = %d exceeds budget %d", p.used, p.budget)
+	}
+	for i, e := range p.pageIns {
+		if e.state != pagePendingIn {
+			t.Errorf("page-in %d (key %d) is in state %d, want pending-in", i, e.key, e.state)
+		}
 	}
 }
 
@@ -361,17 +393,88 @@ func TestPagerReleasesBudgetOnFree(t *testing.T) {
 	}
 }
 
+// TestPagerUnboundedConfigIsInert checks that a pager without a budget —
+// no MaxResidentPages, or the ideal TLB, which is exempt from the bound —
+// has no residency policy, and that faulting through it leaves every
+// paging-only counter zero and out of the JSON a RunRecord's Manager
+// field encodes.
 func TestPagerUnboundedConfigIsInert(t *testing.T) {
-	r := newRig(t, Mosaic, nil) // MaxResidentPages unset
-	if r.sys.pager != nil {
-		t.Fatal("pager exists without a residency bound")
+	for _, pol := range []Policy{Mosaic, IdealTLB} {
+		name := pol.String()
+		r := newPagedRig(t, pol, 0) // MaxResidentPages unset
+		if pol == IdealTLB {
+			r = newPagedRig(t, pol, 512)
+		}
+		if r.sys.pager.res != nil || r.sys.pager.budget != math.MaxUint64 {
+			t.Fatalf("%s: pager has a residency policy or budget %d", name, r.sys.pager.budget)
+		}
+		r.sys.RegisterApp(1)
+		if err := r.sys.AllocVirtual(0, 1, 0, 2*vmem.LargePageSize); err != nil {
+			t.Fatal(err)
+		}
+		for i := uint64(0); i < 2*vmem.BasePagesPerLarge; i += 3 {
+			r.sys.EnsureResident(i, 1, vmem.VirtAddr(i*vmem.BasePageSize), event.Event{})
+		}
+		r.drain()
+		s := r.sys.Stats()
+		if s.FarFaults == 0 {
+			t.Fatalf("%s: no far-faults issued", name)
+		}
+		if s.Evictions != 0 || s.Refaults != 0 || s.PeakResidentPages != 0 {
+			t.Errorf("%s: paging-only counters moved: %+v", name, s)
+		}
+		b, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, field := range []string{"Evictions", "Refaults", "PeakResidentPages"} {
+			if strings.Contains(string(b), field) {
+				t.Errorf("%s: stats JSON carries %s: %s", name, field, b)
+			}
+		}
+		checkPagerConservation(t, r.sys)
 	}
-	r2 := newRig(t, IdealTLB, func(c *config.Config, _ *Options) {
-		c.MaxResidentPages = 512
-	})
-	if r2.sys.pager != nil {
-		t.Fatal("ideal TLB should be exempt from the residency bound")
+}
+
+// TestUnboundedFreedInFlightFaultsAgain frees a page while its unbounded
+// fault is on the bus: the landing must not make the freed page resident,
+// so touching it again issues a new transfer.
+func TestUnboundedFreedInFlightFaultsAgain(t *testing.T) {
+	r := newRig(t, GPUMMU4K, nil)
+	r.sys.RegisterApp(1)
+	if err := r.sys.AllocVirtual(0, 1, 0, vmem.BasePageSize); err != nil {
+		t.Fatal(err)
 	}
+	landed := false
+	if r.sys.EnsureResident(0, 1, 0, on(func(uint64) { landed = true })) {
+		t.Fatal("first touch found the page resident")
+	}
+	if err := r.sys.FreeVirtual(1, 1, 0, vmem.BasePageSize); err != nil {
+		t.Fatal(err)
+	}
+	checkPagerConservation(t, r.sys)
+	r.drain()
+	if !landed {
+		t.Fatal("the freed fault's waiter never fired")
+	}
+	if r.sys.IsResident(1, 0) {
+		t.Fatal("a page freed in flight became resident when its transfer landed")
+	}
+	if err := r.sys.AllocVirtual(2, 1, 0, vmem.BasePageSize); err != nil {
+		t.Fatal(err)
+	}
+	before := r.sys.Stats().FarFaults
+	if r.sys.EnsureResident(3, 1, 0, event.Event{}) {
+		t.Fatal("re-touch found the freed page resident")
+	}
+	if got := r.sys.Stats().FarFaults - before; got != 1 {
+		t.Fatalf("re-touch issued %d far-faults, want 1", got)
+	}
+	r.drain()
+	if !r.sys.IsResident(1, 0) {
+		t.Fatal("re-touched page did not land")
+	}
+	checkPagerConservation(t, r.sys)
 }
 
 // regionState lists, in key order, the resident units of asid's 2MB

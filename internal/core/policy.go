@@ -124,7 +124,7 @@ type Components struct {
 	// Cost prices page migrations.
 	Cost CostModel
 	// Residency constructs the victim-selection state for a bounded
-	// page pool; called once per pager (factory, because the policy
+	// page pool; called once per bounded pager (factory, because the policy
 	// holds mutable per-run state).
 	Residency func() ResidencyPolicy
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"maps"
 
 	"repro/internal/alloc"
 	"repro/internal/config"
@@ -56,8 +57,6 @@ func (s Stats) CoalesceSuccessRate() float64 {
 
 type appState struct {
 	table     *pagetable.PageTable
-	resident  map[uint64]bool
-	pending   map[uint64][]event.Event // fault key -> waiters of its transfer
 	liveBytes uint64
 	// pagesPerFrame counts this app's mapped base pages per large frame,
 	// for footprint/bloat accounting.
@@ -103,9 +102,8 @@ type System struct {
 	emergency []emergencyEntry
 	onEmerg   map[uint64]bool // regions already parked, keyed by packed id
 
-	// pager bounds GPU residency when MaxResidentPages is set; nil means
-	// unbounded (the paper's in-memory regime) and leaves the fault path
-	// untouched.
+	// pager is the one record of demand-paged residency; it also bounds
+	// GPU residency when MaxResidentPages is set.
 	pager *pager
 
 	stallUntil uint64
@@ -165,19 +163,15 @@ func NewSystem(cfg config.Config, opt Options, q *event.Queue, bus *iobus.Bus, m
 	default:
 		s.baseline = alloc.NewBaseline(pool)
 	}
-	// The ideal TLB stands in for a system unconstrained by memory
-	// management, so it is exempt from the residency bound too.
-	if cfg.MaxResidentPages > 0 && cfg.IOBusEnabled && !s.fill.Bypass() {
-		s.pager = newPager(s)
-	}
+	s.pager = newPager(s)
 	return s, nil
 }
 
 // Clone returns a deep copy of the manager for a forked simulator, wired
 // to the fork's event queue, I/O bus, and DRAM model. Frame pool,
 // allocator free lists (in order), page tables (with node addresses
-// preserved), residency sets, pending fault transfers with their waiters,
-// the pager's queues and LRU recency, and all counters are duplicated so
+// preserved), the pager's table, queues, transfers in flight with their
+// waiters and LRU recency, and all counters are duplicated so
 // the fork continues bit-for-bit where the source stopped. The clone
 // starts with no trace recorder and no-op flush hooks — the forked
 // simulator must rebind both (SetTrace, SetFlushHooks) before running.
@@ -197,8 +191,8 @@ func (s *System) Clone(q *event.Queue, bus *iobus.Bus, mem *dram.DRAM) *System {
 		apps:            make(map[vmem.ASID]*appState, len(s.apps)),
 		ptNext:          s.ptNext,
 		ptEnd:           s.ptEnd,
-		coalesced:       make(map[int]bool, len(s.coalesced)),
-		onEmerg:         make(map[uint64]bool, len(s.onEmerg)),
+		coalesced:       maps.Clone(s.coalesced),
+		onEmerg:         maps.Clone(s.onEmerg),
 		emergency:       append([]emergencyEntry(nil), s.emergency...),
 		stallUntil:      s.stallUntil,
 		stats:           s.stats,
@@ -206,39 +200,19 @@ func (s *System) Clone(q *event.Queue, bus *iobus.Bus, mem *dram.DRAM) *System {
 		flushBaseEntry:  func(vmem.ASID, vmem.VirtAddr) {},
 		flushAll:        func() {},
 	}
+	ns.pager = s.pager.clone(ns)
 	if s.cocoa != nil {
 		ns.cocoa = s.cocoa.Clone(ns.pool)
 	}
 	if s.baseline != nil {
 		ns.baseline = s.baseline.Clone(ns.pool)
 	}
-	for fi := range s.coalesced {
-		ns.coalesced[fi] = true
-	}
-	for k := range s.onEmerg {
-		ns.onEmerg[k] = true
-	}
 	for asid, a := range s.apps {
-		na := &appState{
+		ns.apps[asid] = &appState{
 			table:         a.table.Clone(ns.allocPTNode),
-			resident:      make(map[uint64]bool, len(a.resident)),
-			pending:       make(map[uint64][]event.Event, len(a.pending)),
 			liveBytes:     a.liveBytes,
-			pagesPerFrame: make(map[int]int, len(a.pagesPerFrame)),
+			pagesPerFrame: maps.Clone(a.pagesPerFrame),
 		}
-		for k, v := range a.resident {
-			na.resident[k] = v
-		}
-		for k, v := range a.pagesPerFrame {
-			na.pagesPerFrame[k] = v
-		}
-		for k, waiters := range a.pending {
-			na.pending[k] = append([]event.Event(nil), waiters...)
-		}
-		ns.apps[asid] = na
-	}
-	if s.pager != nil {
-		ns.pager = s.pager.clone(ns)
 	}
 	return ns
 }
@@ -309,8 +283,6 @@ func (s *System) RegisterApp(asid vmem.ASID) error {
 	}
 	s.apps[asid] = &appState{
 		table:         pagetable.New(asid, s.allocPTNode),
-		resident:      make(map[uint64]bool),
-		pending:       make(map[uint64][]event.Event),
 		pagesPerFrame: make(map[int]int),
 	}
 	return nil
@@ -335,13 +307,14 @@ func (s *System) app(asid vmem.ASID) (*appState, error) {
 
 // ---- walker.TableSet ----
 
-// WalkAddrs implements walker.TableSet.
-func (s *System) WalkAddrs(asid vmem.ASID, va vmem.VirtAddr) []vmem.PhysAddr {
+// WalkAddrs implements walker.TableSet. An unregistered ASID reads no
+// PTEs.
+func (s *System) WalkAddrs(asid vmem.ASID, va vmem.VirtAddr, buf *[pagetable.Levels]vmem.PhysAddr) int {
 	a, err := s.app(asid)
 	if err != nil {
-		return nil
+		return 0
 	}
-	return a.table.WalkAddrs(va)
+	return a.table.WalkAddrs(va, buf)
 }
 
 // Translate implements walker.TableSet.
@@ -519,24 +492,13 @@ func (s *System) stall(until uint64) {
 
 // ---- demand paging ----
 
-func (s *System) faultKey(va vmem.VirtAddr) uint64 {
-	if s.fill.LargeFill() {
-		return va.LargePageNumber()
-	}
-	return va.BasePageNumber()
-}
-
 // IsResident reports whether the data backing va is in GPU memory.
 func (s *System) IsResident(asid vmem.ASID, va vmem.VirtAddr) bool {
 	if !s.cfg.IOBusEnabled {
 		return true
 	}
-	if s.pager != nil {
-		e := s.pager.entry(asid, s.faultKey(va))
-		return e != nil && e.state == pageResident
-	}
-	a := s.apps[asid]
-	return a != nil && a.resident[s.faultKey(va)]
+	e := s.pager.entry(asid, s.pager.faultKey(va))
+	return e != nil && e.state == pageResident
 }
 
 // EnsureResident triggers a far-fault for va's page if its data is not
@@ -547,49 +509,16 @@ func (s *System) EnsureResident(now uint64, asid vmem.ASID, va vmem.VirtAddr, do
 	if !s.cfg.IOBusEnabled {
 		return true
 	}
-	a, err := s.app(asid)
-	if err != nil {
+	if _, err := s.app(asid); err != nil {
 		return true
 	}
-	if s.pager != nil {
-		return s.pager.ensureResident(now, asid, va, done)
-	}
-	key := s.faultKey(va)
-	if a.resident[key] {
-		return true
-	}
-	if waiters, inflight := a.pending[key]; inflight {
-		a.pending[key] = append(waiters, done)
-		s.stats.CoalescedFaults++
-		return false
-	}
-	a.pending[key] = []event.Event{done}
-	s.stats.FarFaults++
-	size := vmem.Base
-	if s.fill.LargeFill() {
-		size = vmem.Large
-	}
-	fin := s.bus.Transfer(now, size, event.Event{Kind: event.FaultLanded, Unit: uint32(asid), Arg: key})
-	s.trace.Record(trace.Event{
-		Cycle: now, Kind: trace.EvFarFault, ASID: asid,
-		VA: va.BasePageBase(), Size: size.Bytes(), Latency: fin - now,
-	})
-	return false
+	return s.pager.ensureResident(now, asid, va, done)
 }
 
-// Handle runs the manager's own events: a landed fault transfer
-// (FaultLanded) and the pager's page-in and write-back completions
-// (PageIn, PageOut).
+// Handle runs the manager's own events: the pager's page-in and
+// write-back completions (PageIn, PageOut).
 func (s *System) Handle(cycle uint64, ev event.Event) {
 	switch ev.Kind {
-	case event.FaultLanded:
-		a, key := s.apps[vmem.ASID(ev.Unit)], ev.Arg
-		a.resident[key] = true
-		waiters := a.pending[key]
-		delete(a.pending, key)
-		for _, w := range waiters {
-			s.q.Fire(cycle, w)
-		}
 	case event.PageIn:
 		s.pager.pageIn(cycle)
 	case event.PageOut:
@@ -660,20 +589,14 @@ func (s *System) FreeVirtual(now uint64, asid vmem.ASID, va vmem.VirtAddr, size 
 			}
 		}
 		if !s.fill.LargeFill() {
-			delete(a.resident, cur.BasePageNumber())
-			if s.pager != nil {
-				s.pager.release(asid, cur.BasePageNumber())
-			}
+			s.pager.release(asid, cur.BasePageNumber())
 		}
 	}
 
 	for regionVA, ri := range regions {
 		s.handleShrunkRegion(now, a, asid, regionVA, ri.frameIdx, ri.locked)
 		if s.fill.LargeFill() && a.table.MappedInRegion(regionVA) == 0 {
-			delete(a.resident, regionVA.LargePageNumber())
-			if s.pager != nil {
-				s.pager.release(asid, regionVA.LargePageNumber())
-			}
+			s.pager.release(asid, regionVA.LargePageNumber())
 		}
 	}
 	return nil

@@ -7,6 +7,7 @@ import (
 	"repro/internal/dram"
 	"repro/internal/event"
 	"repro/internal/iobus"
+	"repro/internal/pagetable"
 	"repro/internal/vmem"
 )
 
@@ -45,7 +46,7 @@ func wire(q *event.Queue, sys *System, mem *dram.DRAM) {
 			mem.Dispatch(int(ev.Unit), c)
 		case event.DRAMRetry:
 			mem.Retry(int(ev.Unit), int(ev.Arg), c)
-		case event.FaultLanded, event.PageIn, event.PageOut:
+		case event.PageIn, event.PageOut:
 			sys.Handle(c, ev)
 		case testDone:
 			callbacks[ev.Arg](c)
@@ -509,7 +510,8 @@ func TestWalkAddrsThroughSystem(t *testing.T) {
 	r := newRig(t, Mosaic, nil)
 	r.sys.RegisterApp(1)
 	r.sys.AllocVirtual(0, 1, 0, 2<<20)
-	addrs := r.sys.WalkAddrs(1, 0x1000)
+	var buf [pagetable.Levels]vmem.PhysAddr
+	addrs := buf[:r.sys.WalkAddrs(1, 0x1000, &buf)]
 	if len(addrs) != 4 {
 		t.Errorf("walk depth = %d, want 4", len(addrs))
 	}
@@ -520,7 +522,7 @@ func TestWalkAddrsThroughSystem(t *testing.T) {
 			t.Errorf("PTE address %v outside reserved region", a)
 		}
 	}
-	if r.sys.WalkAddrs(99, 0) != nil {
-		t.Error("walk addrs for unknown app should be nil")
+	if n := r.sys.WalkAddrs(99, 0, &buf); n != 0 {
+		t.Errorf("walk of an unknown app reads %d PTEs, want 0", n)
 	}
 }

@@ -35,7 +35,6 @@ const (
 	Complete                 // retire memory request Arg's lane
 	L1Fill                   // complete SM Unit's L1 cache miss for address Arg
 	L2Fill                   // complete the shared L2 cache miss for address Arg
-	FaultLanded              // land app Unit's unbounded fault transfer for key Arg
 	PageIn                   // land the pager's oldest in-flight page-in
 	PageOut                  // retire the pager's oldest in-flight write-back
 	DeallocPoll              // run the simulator's periodic dealloc check

@@ -15,10 +15,10 @@ func syntheticResults(n int) []sim.Results {
 	out := make([]sim.Results, n)
 	for i := range out {
 		r := sim.Results{
-			Workload:     fmt.Sprintf("W%d", i/4),
-			Policy:       fmt.Sprintf("P%d", i%4),
-			ConfigDigest: fmt.Sprintf("%016x", 0x9e3779b97f4a7c15*uint64(i+1)),
-			Cycles:       uint64(1000 + 17*i),
+			Workload:      fmt.Sprintf("W%d", i/4),
+			Policy:        fmt.Sprintf("P%d", i%4),
+			ConfigDigest:  fmt.Sprintf("%016x", 0x9e3779b97f4a7c15*uint64(i+1)),
+			Cycles:        uint64(1000 + 17*i),
 			L1TLBRequests: uint64(100 + i), L1TLBHits: uint64(90 + i),
 			L2TLBRequests: uint64(50 + i), L2TLBHits: uint64(40 + i),
 			TranslationFaults: uint64(i % 3),

@@ -258,29 +258,29 @@ func (pt *PageTable) Translate(va vmem.VirtAddr) (Translation, bool) {
 	return Translation{Frame: leaf.frame, Size: vmem.Base}, true
 }
 
-// WalkAddrs returns the physical addresses of the PTEs a hardware walk of
-// va reads, in order. A walk always touches all four levels: even for a
-// coalesced region the walker reads the large mapping out of the first L4
-// PTE (§4.3). The slice is freshly allocated.
-func (pt *PageTable) WalkAddrs(va vmem.VirtAddr) []vmem.PhysAddr {
-	addrs := make([]vmem.PhysAddr, 0, Levels)
+// WalkAddrs fills buf with the physical addresses of the PTEs a hardware
+// walk of va reads, in order, and returns how many it filled. A walk
+// always touches all four levels: even for a coalesced region the walker
+// reads the large mapping out of the first L4 PTE (§4.3). A walk that
+// reaches an absent table stops after reading its empty entry.
+func (pt *PageTable) WalkAddrs(va vmem.VirtAddr, buf *[Levels]vmem.PhysAddr) int {
 	n := pt.root
 	for level := 0; level < Levels-1; level++ {
-		addrs = append(addrs, entryAddr(n, va, level))
+		buf[level] = entryAddr(n, va, level)
 		idx := indexAt(va, level)
 		child := n.children[idx]
 		if child == nil {
-			return addrs
+			return level + 1
 		}
 		if level == Levels-2 && n.largeBit[idx] {
 			// Final read: the first PTE of the leaf table.
-			addrs = append(addrs, child.addr)
-			return addrs
+			buf[Levels-1] = child.addr
+			return Levels
 		}
 		n = child
 	}
-	addrs = append(addrs, entryAddr(n, va, Levels-1))
-	return addrs
+	buf[Levels-1] = entryAddr(n, va, Levels-1)
+	return Levels
 }
 
 // CanCoalesce reports whether the 2MB region containing va satisfies the

@@ -10,9 +10,8 @@ import (
 	"repro/internal/workload"
 )
 
-// midFlightWarmup is a snapshot cycle at which the oversubscribed runs
-// below have DRAM requests queued, walks in progress, and page transfers
-// on the I/O bus — TestForkMidFlightSnapshot checks that they do. Mosaic
+// midFlightWarmup is a snapshot cycle at which the runs below have DRAM
+// requests queued, walks in progress, and page transfers on the I/O bus — TestForkMidFlightSnapshot checks that they do. Mosaic
 // walks almost only while its TLBs are cold, so the cut sits early.
 const midFlightWarmup = 1000
 
@@ -23,8 +22,16 @@ const midFlightWarmup = 1000
 // waiter list, walker slot, or pager queue shared between copies shows up
 // as a divergence even without the race detector.
 func TestForkMidFlightSnapshot(t *testing.T) {
-	for _, pol := range []core.Policy{core.GPUMMU4K, core.Mosaic} {
-		t.Run(pol.String(), func(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		pol     core.Policy
+		oversub float64 // 0: unbounded residency, no evictions or write-backs
+	}{
+		{"GPU-MMU", core.GPUMMU4K, 2},
+		{"Mosaic", core.Mosaic, 2},
+		{"Mosaic-unbounded", core.Mosaic, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			base := config.FastTest()
 			base.MaxWarpInstructions = 512
 			var specs []workload.Spec
@@ -36,11 +43,11 @@ func TestForkMidFlightSnapshot(t *testing.T) {
 				specs = append(specs, spec)
 			}
 			wl := workload.Workload{Name: "SWP-S-SWP-D", Apps: specs}
-			base.MaxResidentPages = workload.ResidentBudget(base, wl, 2)
+			base.MaxResidentPages = workload.ResidentBudget(base, wl, tc.oversub)
 			cell := base
 			cell.L1TLBBaseEntries /= 2
 			cell.L2TLBLatency++
-			opt := Options{Policy: pol, Seed: 21, SnapshotWarmup: midFlightWarmup}
+			opt := Options{Policy: tc.pol, Seed: 21, SnapshotWarmup: midFlightWarmup}
 
 			run := func(s *Simulator) []byte {
 				t.Helper()

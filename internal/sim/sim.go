@@ -401,7 +401,7 @@ func (s *Simulator) fire(c uint64, ev event.Event) {
 		s.sms[ev.Unit].l1cache.CompleteMiss(vmem.PhysAddr(ev.Arg), c, s.q)
 	case event.L2Fill:
 		s.l2c.CompleteMiss(vmem.PhysAddr(ev.Arg), c, s.q)
-	case event.FaultLanded, event.PageIn, event.PageOut:
+	case event.PageIn, event.PageOut:
 		s.mgr.Handle(c, ev)
 	case event.DeallocPoll:
 		s.pollDealloc(c)

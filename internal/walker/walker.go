@@ -17,9 +17,9 @@ import (
 // TableSet resolves per-application page tables for the walker. The memory
 // manager implements it.
 type TableSet interface {
-	// WalkAddrs returns the PTE addresses a hardware walk of (asid, va)
-	// reads, in dependency order.
-	WalkAddrs(asid vmem.ASID, va vmem.VirtAddr) []vmem.PhysAddr
+	// WalkAddrs fills buf with the PTE addresses a hardware walk of
+	// (asid, va) reads, in dependency order, and returns how many.
+	WalkAddrs(asid vmem.ASID, va vmem.VirtAddr, buf *[pagetable.Levels]vmem.PhysAddr) int
 	// Translate resolves (asid, va) from the page table.
 	Translate(asid vmem.ASID, va vmem.VirtAddr) (pagetable.Translation, bool)
 }
@@ -47,11 +47,12 @@ type request struct {
 }
 
 // walk is one slot's in-flight walk: its start cycle, the request, the
-// PTE addresses it reads, and the index of the next read.
+// n PTE addresses it reads, and the index of the next read.
 type walk struct {
 	start uint64
 	req   request
-	addrs []vmem.PhysAddr
+	addrs [pagetable.Levels]vmem.PhysAddr
+	n     int
 	next  int
 }
 
@@ -105,7 +106,9 @@ type Walker struct {
 	pending []request
 	// inflight maps a page under walk to the waiters of its result.
 	inflight map[key][]event.Event
-	stats    Stats
+	// spare holds emptied waiter lists for new walks to reuse.
+	spare [][]event.Event
+	stats Stats
 }
 
 // New builds a walker with the given concurrency wired to the table set,
@@ -144,9 +147,6 @@ func (w *Walker) Clone(tables TableSet, access AccessFunc, deliver DeliverFunc) 
 		inflight: make(map[key][]event.Event, len(w.inflight)),
 		stats:    w.stats,
 	}
-	for i := range nw.slots {
-		nw.slots[i].addrs = append([]vmem.PhysAddr(nil), w.slots[i].addrs...)
-	}
 	for k, waiters := range w.inflight {
 		nw.inflight[k] = append([]event.Event(nil), waiters...)
 	}
@@ -172,7 +172,11 @@ func (w *Walker) Walk(now uint64, asid vmem.ASID, va vmem.VirtAddr, waiter event
 		w.stats.Coalesced++
 		return
 	}
-	w.inflight[k] = []event.Event{waiter}
+	var ws []event.Event
+	if n := len(w.spare); n > 0 {
+		ws, w.spare = w.spare[n-1], w.spare[:n-1]
+	}
+	w.inflight[k] = append(ws, waiter)
 	if len(w.free) == 0 {
 		w.pending = append(w.pending, request{asid, va})
 		if len(w.pending) > w.stats.MaxQueued {
@@ -187,7 +191,9 @@ func (w *Walker) start(now uint64, r request) {
 	slot := w.free[len(w.free)-1]
 	w.free = w.free[:len(w.free)-1]
 	w.stats.Walks++
-	w.slots[slot] = walk{start: now, req: r, addrs: w.tables.WalkAddrs(r.asid, r.va)}
+	wk := &w.slots[slot]
+	*wk = walk{start: now, req: r}
+	wk.n = w.tables.WalkAddrs(r.asid, r.va, &wk.addrs)
 	w.Step(slot, now)
 }
 
@@ -195,7 +201,7 @@ func (w *Walker) start(now uint64, r request) {
 // completes the walk. WalkStep events run it.
 func (w *Walker) Step(slot uint32, now uint64) {
 	wk := &w.slots[slot]
-	if wk.next >= len(wk.addrs) {
+	if wk.next >= wk.n {
 		w.finish(slot, now)
 		return
 	}
@@ -228,4 +234,5 @@ func (w *Walker) finish(slot uint32, now uint64) {
 	for _, ev := range waiters {
 		w.deliver(now, tr, ok, ev)
 	}
+	w.spare = append(w.spare, waiters[:0])
 }

@@ -31,8 +31,8 @@ func (f *fakeTables) table(asid vmem.ASID) *pagetable.PageTable {
 	return pt
 }
 
-func (f *fakeTables) WalkAddrs(asid vmem.ASID, va vmem.VirtAddr) []vmem.PhysAddr {
-	return f.table(asid).WalkAddrs(va)
+func (f *fakeTables) WalkAddrs(asid vmem.ASID, va vmem.VirtAddr, buf *[pagetable.Levels]vmem.PhysAddr) int {
+	return f.table(asid).WalkAddrs(va, buf)
 }
 
 func (f *fakeTables) Translate(asid vmem.ASID, va vmem.VirtAddr) (pagetable.Translation, bool) {
@@ -270,5 +270,34 @@ func TestAvgLatency(t *testing.T) {
 	var empty Stats
 	if empty.AvgLatency() != 0 {
 		t.Error("empty AvgLatency should be 0")
+	}
+}
+
+// TestWalkAllocFree guards one complete walk — start, four dependent PTE
+// reads through the queue, finish, delivery — against per-walk
+// allocation: the PTE addresses live in the slot's fixed buffer.
+func TestWalkAllocFree(t *testing.T) {
+	q := &event.Queue{}
+	ft := newFakeTables()
+	ft.table(1).Map(0x5000, 0x9000)
+	w := newWalker(q, 4, ft, 10)
+	now := uint64(0)
+	walkOnce := func() {
+		w.Walk(now, 1, 0x5000, event.Event{})
+		for {
+			c, ok := q.NextCycle()
+			if !ok {
+				break
+			}
+			q.RunDue(c)
+			now = c
+		}
+	}
+	walkOnce() // warm the queue and the in-flight table
+	if avg := testing.AllocsPerRun(200, walkOnce); avg != 0 {
+		t.Fatalf("one complete walk allocates %.1f objects, want 0", avg)
+	}
+	if got := w.Stats().MemoryAccesses; got != 4*202 {
+		t.Fatalf("MemoryAccesses = %d, want %d", got, 4*202)
 	}
 }
